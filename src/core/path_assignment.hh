@@ -17,6 +17,25 @@
  * alternative path with the largest peak reduction (or, failing
  * that, one that repositions the same peak value elsewhere in the
  * link-interval space), and restart randomly to escape local minima.
+ *
+ * Defs. 5.1/5.2 have one implementation, LinkLoadState: per-link
+ * message lists and per-(link, interval) counts that a reroute
+ * updates only on the links it leaves or joins. A from-scratch
+ * UtilizationAnalyzer::analyze() builds the state and reports it,
+ * and an improvement walk scores each candidate move by applying it
+ * to its own state. Every peak comparison and tie-break of the walk
+ * depends on the report's exact bits, so the state reproduces the
+ * from-scratch scan bit for bit:
+ *   1. A touched link's demand is re-summed in message-index order,
+ *      never kept as a running `+=`/`-=` total.
+ *   2. Its available time is summed in interval order, and only
+ *      recomputed when a "used" bit flips.
+ *   3. Its local peak is the link utilization first, then the first
+ *      interval whose no-slack count is both above 1 and highest.
+ *   4. Equal local peaks of two links go to the link touched first
+ *      by the scan: the lowest (first message on the link, position
+ *      of the link in that message's path).
+ *   5. A zero peak reports `position.link == kInvalidLink`.
  */
 
 #ifndef SRSIM_CORE_PATH_ASSIGNMENT_HH_
@@ -73,7 +92,8 @@ struct UtilizationReport
 
 /**
  * Computes link/spot utilizations of path assignments against fixed
- * time bounds and interval decomposition.
+ * time bounds and interval decomposition. Immutable after
+ * construction, so concurrent walks share one analyzer.
  */
 class UtilizationAnalyzer
 {
@@ -105,6 +125,8 @@ class UtilizationAnalyzer
     const IntervalSet &intervals() const { return intervals_; }
 
   private:
+    friend class LinkLoadState;
+
     const TimeBounds &bounds_;
     const IntervalSet &intervals_;
     const Topology &topo_;
@@ -113,13 +135,94 @@ class UtilizationAnalyzer
     std::vector<Time> durations_;
     std::vector<bool> noSlack_;
     std::vector<std::vector<std::size_t>> activeIv_;
+    /** Interval lengths, in interval order. */
+    std::vector<Time> ivLength_;
+};
 
-    // Reusable scratch for analyze(); makes the analyzer
-    // single-threaded but keeps the hot path allocation-free.
-    mutable std::vector<double> scratchDemand_;
-    mutable std::vector<char> scratchUsed_;
-    mutable std::vector<int> scratchSpot_;
-    mutable std::vector<LinkId> scratchTouched_;
+/**
+ * The link loads of one path assignment, kept up to date under
+ * single-message reroutes (see the file comment for the bit-identity
+ * rules). The state refers to each route by address: a route must
+ * stay valid until its message moves again (the move reads the
+ * route it leaves) or the state is gone. A route never crosses one
+ * link twice. Not thread-safe; each walk owns its state.
+ */
+class LinkLoadState
+{
+  public:
+    /** The loads of routing message i over *routes[i]. */
+    LinkLoadState(const UtilizationAnalyzer &ua,
+                  std::vector<const Path *> routes);
+    /** The loads of `pa`, whose rows are the initial routes. */
+    LinkLoadState(const UtilizationAnalyzer &ua,
+                  const PathAssignment &pa);
+
+    /** Reroute message i over `p`, re-costing only changed links. */
+    void move(std::size_t i, const Path &p);
+
+    /** Peak U and its position, as analyze() defines them. */
+    UtilizationReport report() const;
+
+    /** Message indices whose route crosses link j, ascending. */
+    const std::vector<std::size_t> &
+    messagesOn(LinkId j) const
+    {
+        return onLink_[static_cast<std::size_t>(j)];
+    }
+
+    /** Link utilization U'_j (Def. 5.1). */
+    double linkUtilization(LinkId j) const
+    {
+        return link_[static_cast<std::size_t>(j)].u;
+    }
+
+    /** No-slack message count on link j in interval k (Def. 5.2). */
+    int
+    spotCount(LinkId j, std::size_t k) const
+    {
+        return spot_[static_cast<std::size_t>(j) * kk_ + k];
+    }
+
+  private:
+    /** Per-link values, re-derived whenever the link's loads change. */
+    struct LinkCache
+    {
+        /** Sum of `used` interval lengths times the capacity. */
+        Time avail = 0.0;
+        double u = 0.0;
+        /** Highest no-slack count, at its first interval. */
+        int bestSpot = 0;
+        std::size_t bestSpotIv = 0;
+        /** Local peak: max(u, hot-spot count), 0 when idle. */
+        double peak = 0.0;
+        bool peakIsSpot = false;
+        /** Scan order: (first message, position in its route). */
+        std::size_t firstMsg = SIZE_MAX;
+        std::size_t firstPos = SIZE_MAX;
+    };
+
+    void leave(std::size_t i, std::size_t l);
+    void join(std::size_t i, std::size_t l);
+    /** Re-derive link l's cached values from its lists and counts. */
+    void refresh(std::size_t l, bool usedFlipped, bool spotLost);
+    /** Re-derive l's scan-order key and replay its tree path. */
+    void settle(std::size_t l);
+    /** Whether link a's local peak outranks link b's. */
+    bool outranks(std::size_t a, std::size_t b) const;
+
+    const UtilizationAnalyzer &ua_;
+    std::size_t kk_ = 0;
+    std::vector<const Path *> route_;
+    std::vector<double> capacity_;
+    std::vector<std::vector<std::size_t>> onLink_;
+    /** Per (link, interval): messages active there / no-slack ones. */
+    std::vector<int> used_;
+    std::vector<int> spot_;
+    /** One entry per link plus an idle sentinel for tree padding. */
+    std::vector<LinkCache> link_;
+    /** Tournament tree over links; node 1 holds the global peak. */
+    std::vector<std::size_t> tree_;
+    std::size_t leaves_ = 1;
 };
 
 namespace engine {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 
 namespace srsim {
@@ -31,19 +32,13 @@ splitEvents(const std::string &spec)
     return out;
 }
 
-/** Strict non-negative number parse; FatalError with context. */
+/** Strict finite non-negative number; FatalError with context. */
 double
 parseNumber(const std::string &s, const std::string &what,
             const std::string &event)
 {
-    std::size_t pos = 0;
     double v = 0.0;
-    try {
-        v = std::stod(s, &pos);
-    } catch (const std::exception &) {
-        pos = 0;
-    }
-    if (pos != s.size() || s.empty())
+    if (!parseFinite(s, &v))
         fatal("fault spec: bad ", what, " '", s, "' in event '",
               event, "'");
     if (v < 0.0)

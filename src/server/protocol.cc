@@ -1,25 +1,14 @@
 #include "server/protocol.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "online/script.hh"
+#include "util/parse.hh"
 
 namespace srsim {
 namespace server {
 
 namespace {
-
-bool
-parseNumber(const std::string &s, double *out)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (!end || *end != '\0' || s.empty())
-        return false;
-    *out = v;
-    return true;
-}
 
 bool
 validAllocKind(const std::string &kind)
@@ -58,21 +47,21 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
         } else if (key == "tfg") {
             sc.tfg = val;
         } else if (key == "period") {
-            if (!parseNumber(val, &num) || num <= 0.0) {
+            if (!parseFinite(val, &num) || num <= 0.0) {
                 *err = "period must be a positive number, got '" +
                        val + "'";
                 return false;
             }
             sc.period = num;
         } else if (key == "bw") {
-            if (!parseNumber(val, &num) || num <= 0.0) {
+            if (!parseFinite(val, &num) || num <= 0.0) {
                 *err = "bw must be a positive number, got '" + val +
                        "'";
                 return false;
             }
             sc.bandwidth = num;
         } else if (key == "ap") {
-            if (!parseNumber(val, &num) || num < 0.0) {
+            if (!parseFinite(val, &num) || num < 0.0) {
                 *err = "ap must be >= 0, got '" + val + "'";
                 return false;
             }
@@ -85,7 +74,7 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
             }
             sc.alloc = val;
         } else if (key == "seed") {
-            if (!parseNumber(val, &num) || num < 0.0) {
+            if (!parseFinite(val, &num) || num < 0.0) {
                 *err = "seed must be >= 0, got '" + val + "'";
                 return false;
             }
@@ -104,7 +93,7 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
             }
             sc.solver = val;
         } else if (key == "threads") {
-            if (!parseNumber(val, &num) || num < 1.0 ||
+            if (!parseFinite(val, &num) || num < 1.0 ||
                 num != static_cast<double>(
                            static_cast<std::size_t>(num))) {
                 *err = "threads must be a positive integer, got '" +

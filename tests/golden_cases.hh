@@ -22,6 +22,7 @@
 #ifndef SRSIM_TESTS_GOLDEN_CASES_HH_
 #define SRSIM_TESTS_GOLDEN_CASES_HH_
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,6 +74,38 @@ goldenCases()
     return cases;
 }
 
+/** The inputs of one case, built from its table row. */
+struct GoldenInputs
+{
+    TaskFlowGraph g;
+    std::unique_ptr<Topology> topo;
+    TimingModel tm;
+    TaskAllocation alloc;
+    SrCompilerConfig cfg;
+
+    GoldenInputs(const GoldenCase &gc, const engine::EngineContext *ctx)
+        : g(buildDvbTfg(DvbParams{})), topo(makeTopology(gc.topoSpec)),
+          alloc(alloc::roundRobin(g, *topo, 13))
+    {
+        tm.apSpeed = DvbParams{}.matchedApSpeed();
+        tm.bandwidth = gc.bandwidth;
+        cfg.ctx = ctx;
+        cfg.inputPeriod = gc.periodFactor * tm.tauC(g);
+    }
+
+    /** The healthy compile; FatalError when infeasible. */
+    SrCompileResult
+    compile(const GoldenCase &gc) const
+    {
+        SrCompileResult r =
+            compileScheduledRouting(g, *topo, alloc, tm, cfg);
+        if (!r.feasible)
+            fatal("golden case '", gc.name, "' infeasible: ",
+                  r.detail);
+        return r;
+    }
+};
+
 /**
  * Compile one case and serialize the (possibly repaired) schedule —
  * exactly the bytes its tests/golden/<name>.sched must hold.
@@ -84,21 +117,8 @@ inline std::string
 compileGoldenCase(const GoldenCase &gc,
                   const engine::EngineContext *ctx = nullptr)
 {
-    const DvbParams dvb;
-    const TaskFlowGraph g = buildDvbTfg(dvb);
-    const auto topo = makeTopology(gc.topoSpec);
-    TimingModel tm;
-    tm.apSpeed = dvb.matchedApSpeed();
-    tm.bandwidth = gc.bandwidth;
-    const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
-
-    SrCompilerConfig cfg;
-    cfg.ctx = ctx;
-    cfg.inputPeriod = gc.periodFactor * tm.tauC(g);
-    const SrCompileResult r =
-        compileScheduledRouting(g, *topo, alloc, tm, cfg);
-    if (!r.feasible)
-        fatal("golden case '", gc.name, "' infeasible: ", r.detail);
+    const GoldenInputs in(gc, ctx);
+    const SrCompileResult r = in.compile(gc);
 
     std::ostringstream os;
     if (gc.faultSpec[0] == '\0') {
@@ -106,11 +126,12 @@ compileGoldenCase(const GoldenCase &gc,
         return os.str();
     }
 
-    fault::applyFaultSpec(gc.faultSpec, *topo);
+    fault::applyFaultSpec(gc.faultSpec, *in.topo);
     fault::RepairOptions ropts;
     ropts.faultSpec = gc.faultSpec;
     const fault::RepairResult rep =
-        fault::repairSchedule(g, *topo, alloc, tm, cfg, r, ropts);
+        fault::repairSchedule(in.g, *in.topo, in.alloc, in.tm, in.cfg,
+                              r, ropts);
     if (!rep.feasible)
         fatal("golden case '", gc.name,
               "' repair infeasible: ", rep.detail);

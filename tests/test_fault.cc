@@ -115,6 +115,8 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_THROW(fault::parseFaultSpec("rand:0:4"), FatalError);
     EXPECT_THROW(fault::parseFaultSpec("gremlin:2"), FatalError);
     EXPECT_THROW(fault::parseFaultSpec("link:#4@-3"), FatalError);
+    EXPECT_THROW(fault::parseFaultSpec("derate:#3=nan"), FatalError);
+    EXPECT_THROW(fault::parseFaultSpec("link:#4@inf"), FatalError);
 }
 
 TEST(FaultSpec, ResolutionBindsAndValidates)

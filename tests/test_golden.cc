@@ -11,7 +11,9 @@
  *
  * One repair-heavy case additionally recompiles at 1, 2, and 8
  * worker threads: the golden bytes must not depend on the thread
- * count (the parallel compiler merges deterministically).
+ * count (the parallel compiler merges deterministically). The four
+ * healthy cases also pin their AssignPaths counts at those thread
+ * counts.
  */
 
 #include <fstream>
@@ -115,6 +117,46 @@ TEST(GoldenDeterminism, ThreadCountInvariant)
         EXPECT_EQ(want, golden::compileGoldenCase(*mixed))
             << "fault-mixed diverged at " << threads
             << " thread(s)";
+    }
+    ThreadPool::setGlobalSize(ThreadPool::configuredSize());
+}
+
+/**
+ * Byte-identical schedules do not show a walk that reaches the same
+ * assignment by a different route, so the AssignPaths counts of the
+ * four healthy cases are pinned too, at 1, 2 and 8 workers.
+ */
+TEST(GoldenDeterminism, AssignPathsCountsPinned)
+{
+    struct Pin
+    {
+        const char *name;
+        int reroutes;
+        double peak;
+    };
+    const Pin pins[] = {
+        {"fig5-cube6-b128", 876, 0.72},
+        {"fig5-ghc444-b128", 422, 0.5},
+        {"fig9-torus88-b128", 420, 0.72},
+        {"fig10-torus444-b128", 819, 0.5225298588490771},
+    };
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        ThreadPool::setGlobalSize(threads);
+        for (const Pin &pin : pins) {
+            const golden::GoldenCase *gc = nullptr;
+            for (const auto &c : golden::goldenCases())
+                if (std::string(c.name) == pin.name)
+                    gc = &c;
+            ASSERT_NE(gc, nullptr) << pin.name;
+            const SrCompileResult r =
+                golden::GoldenInputs(*gc, nullptr).compile(*gc);
+            EXPECT_EQ(r.assignRestarts, 12)
+                << pin.name << " at " << threads << " thread(s)";
+            EXPECT_EQ(r.assignReroutes, pin.reroutes)
+                << pin.name << " at " << threads << " thread(s)";
+            EXPECT_EQ(r.utilization.peak, pin.peak)
+                << pin.name << " at " << threads << " thread(s)";
+        }
     }
     ThreadPool::setGlobalSize(ThreadPool::configuredSize());
 }

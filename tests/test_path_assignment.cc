@@ -6,6 +6,9 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,11 +18,22 @@
 #include "core/time_bounds.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
+#include "topology/factory.hh"
 #include "topology/generalized_hypercube.hh"
 #include "topology/torus.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 
 namespace srsim {
+
+void
+PrintTo(const PeakPosition &p, std::ostream *os)
+{
+    *os << (p.isSpot ? "spot" : "link") << " #" << p.link;
+    if (p.isSpot)
+        *os << " interval " << p.interval;
+}
+
 namespace {
 
 /**
@@ -122,6 +136,384 @@ TEST(UtilizationTest, UnusedLinkHasZeroUtilization)
     pa.paths.push_back(f.cube.makePath({0, 1, 3}));
     const LinkId l23 = f.cube.linkBetween(2, 3);
     EXPECT_DOUBLE_EQ(ua.linkUtilization(pa, l23), 0.0);
+}
+
+/** What the reference scan computes: the peak and every link's U. */
+struct ReferenceScan
+{
+    UtilizationReport report;
+    std::vector<double> linkU;
+};
+
+/**
+ * The whole-assignment scan of Defs. 5.1/5.2 as a plain loop, kept
+ * independent of LinkLoadState: links are visited in first-touch
+ * order (message index, then position in the route), each link's
+ * ratio before its spots, and only a strictly higher value moves the
+ * peak.
+ */
+ReferenceScan
+referenceAnalyze(const TimeBounds &tb, const IntervalSet &ivs,
+                 const Topology &topo, const PathAssignment &pa)
+{
+    const std::size_t nl = static_cast<std::size_t>(topo.numLinks());
+    const std::size_t kk = ivs.size();
+    std::vector<double> demand(nl, 0.0);
+    std::vector<char> used(nl * kk, 0);
+    std::vector<int> spot(nl * kk, 0);
+    std::vector<LinkId> touched;
+    for (std::size_t i = 0; i < pa.paths.size(); ++i) {
+        for (LinkId l : pa.paths[i].links) {
+            const std::size_t lj = static_cast<std::size_t>(l);
+            if (demand[lj] == 0.0)
+                touched.push_back(l);
+            demand[lj] += tb.messages[i].duration;
+            for (std::size_t k : ivs.activeIntervals(i)) {
+                used[lj * kk + k] = 1;
+                if (tb.messages[i].noSlack())
+                    ++spot[lj * kk + k];
+            }
+        }
+    }
+    ReferenceScan out;
+    out.linkU.assign(nl, 0.0);
+    UtilizationReport &rep = out.report;
+    for (LinkId j : touched) {
+        const std::size_t lj = static_cast<std::size_t>(j);
+        double avail = 0.0;
+        for (std::size_t k = 0; k < kk; ++k)
+            if (used[lj * kk + k])
+                avail += ivs.interval(k).length();
+        avail *= topo.linkCapacity(j);
+        const double u =
+            avail > 0.0 ? demand[lj] / avail
+                        : (demand[lj] > 0.0
+                               ? std::numeric_limits<double>::infinity()
+                               : 0.0);
+        out.linkU[lj] = u;
+        if (u > rep.peak) {
+            rep.peak = u;
+            rep.position = PeakPosition{false, j, 0};
+        }
+        for (std::size_t k = 0; k < kk; ++k) {
+            const double s = static_cast<double>(spot[lj * kk + k]);
+            if (s > 1.0 && s > rep.peak) {
+                rep.peak = s;
+                rep.position = PeakPosition{true, j, k};
+            }
+        }
+    }
+    return out;
+}
+
+/** The state, analyze() and the reference agree bit for bit. */
+void
+expectSameReport(const LinkLoadState &load,
+                 const UtilizationAnalyzer &ua, const Topology &topo,
+                 const PathAssignment &pa, const std::string &where)
+{
+    const UtilizationReport got = load.report();
+    const UtilizationReport fresh = ua.analyze(pa);
+    const UtilizationReport ref =
+        referenceAnalyze(ua.bounds(), ua.intervals(), topo, pa).report;
+    EXPECT_EQ(got.peak, ref.peak) << where;
+    EXPECT_EQ(got.position, ref.position) << where;
+    EXPECT_EQ(fresh.peak, ref.peak) << where;
+    EXPECT_EQ(fresh.position, ref.position) << where;
+}
+
+/** Ascending message indices whose route in `pa` crosses link l. */
+std::vector<std::size_t>
+crossing(const PathAssignment &pa, LinkId l)
+{
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < pa.paths.size(); ++i) {
+        const auto &links = pa.paths[i].links;
+        if (std::find(links.begin(), links.end(), l) != links.end())
+            out.push_back(i);
+    }
+    return out;
+}
+
+/**
+ * Twenty chains s -> m -> t placed at random on `topo`: every first
+ * message and every other second message is no-slack (tau_m ==
+ * tau_c = 10 us at 64 B/us), and the two stages are active in
+ * different intervals, so a hot-spot can outrank its link's ratio.
+ */
+struct HotSpotWorkload
+{
+    TaskFlowGraph g;
+    TimingModel tm;
+    TaskAllocation alloc;
+
+    explicit HotSpotWorkload(const Topology &topo)
+        : alloc(60, topo.numNodes())
+    {
+        tm.apSpeed = 10.0;
+        tm.bandwidth = 64.0;
+        Rng rng(77);
+        const auto other = [&](NodeId n) {
+            NodeId o = n;
+            while (o == n)
+                o = static_cast<NodeId>(
+                    rng.index(static_cast<std::size_t>(topo.numNodes())));
+            return o;
+        };
+        for (int c = 0; c < 20; ++c) {
+            const std::string n = std::to_string(c);
+            const TaskId s = g.addTask("s" + n, 100.0);
+            const TaskId m = g.addTask("m" + n, 100.0);
+            const TaskId t = g.addTask("t" + n, 100.0);
+            g.addMessage("x" + n, s, m, 640.0);
+            g.addMessage("y" + n, m, t, c % 2 ? 640.0 : 384.0);
+            const NodeId ns = other(kInvalidNode);
+            const NodeId nm = other(ns);
+            alloc.assign(s, ns);
+            alloc.assign(m, nm);
+            alloc.assign(t, other(nm));
+        }
+    }
+};
+
+/**
+ * Differential: random starts and random single-message moves.
+ * After every move the incremental state must report exactly what a
+ * from-scratch analysis of the same assignment reports. One link is
+ * derated throughout; the last round also fails one link (capacity
+ * 0, so any demand on it is U = infinity), which would otherwise
+ * hide every other peak.
+ */
+void
+expectIncrementalMatchesScratch(const TaskFlowGraph &g,
+                                const TaskAllocation &alloc,
+                                const TimingModel &tm, double period,
+                                Topology &topo, bool expectSpots)
+{
+    const TimeBounds tb = computeTimeBounds(g, alloc, tm, period);
+    const IntervalSet ivs(tb);
+    // Candidates come from the healthy fabric, so some still cross
+    // the failed link.
+    std::vector<std::vector<Path>> cands;
+    for (const MessageBounds &b : tb.messages) {
+        const Message &m = g.message(b.msg);
+        cands.push_back(topo.minimalPaths(alloc.nodeOf(m.src),
+                                          alloc.nodeOf(m.dst), 16));
+    }
+    const LinkId failed = cands.front().front().links.front();
+    const LinkId derated = cands.back().back().links.back();
+    ASSERT_NE(failed, derated) << topo.name();
+    topo.derateLink(derated, 0.5);
+
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        if (seed == 3)
+            topo.failLink(failed);
+        const UtilizationAnalyzer ua(tb, ivs, topo);
+        Rng rng(seed);
+        PathAssignment pa;
+        for (const auto &cs : cands)
+            pa.paths.push_back(cs[rng.index(cs.size())]);
+        LinkLoadState load(ua, pa);
+        const std::string run =
+            topo.name() + " seed " + std::to_string(seed);
+        expectSameReport(load, ua, topo, pa, run + " start");
+        bool sawInfinity = false, sawSpot = false;
+        for (int step = 0; step < 300; ++step) {
+            const std::size_t i = rng.index(cands.size());
+            const Path &p = cands[i][rng.index(cands[i].size())];
+            load.move(i, p);
+            pa.paths[i] = p;
+            const std::string where =
+                run + " step " + std::to_string(step);
+            expectSameReport(load, ua, topo, pa, where);
+            sawInfinity = sawInfinity || std::isinf(load.report().peak);
+            sawSpot = sawSpot || load.report().position.isSpot;
+            if (step % 50 == 0) {
+                const std::vector<double> linkU =
+                    referenceAnalyze(tb, ivs, topo, pa).linkU;
+                for (LinkId l = 0; l < topo.numLinks(); ++l) {
+                    ASSERT_EQ(load.messagesOn(l), crossing(pa, l))
+                        << where << " link " << l;
+                    EXPECT_EQ(load.linkUtilization(l),
+                              linkU[static_cast<std::size_t>(l)])
+                        << where << " link " << l;
+                }
+            }
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        if (seed == 3) {
+            EXPECT_TRUE(sawInfinity) << run;
+        } else if (expectSpots) {
+            EXPECT_TRUE(sawSpot) << run;
+        }
+    }
+    topo.clearFaults();
+}
+
+const char *const kDifferentialFabrics[] = {"cube:6", "ghc:4,4,4",
+                                            "torus:4,4,4"};
+
+/**
+ * At 100 B/us most DVB message times (1.92, 15.36, 17.28 us, ...)
+ * are inexact binary fractions, so a link's demand depends on the
+ * order it is summed in.
+ */
+TEST(LinkLoadStateTest, MatchesFromScratchOnTheDvbWorkload)
+{
+    const TaskFlowGraph g = buildDvbTfg({});
+    DvbParams dp;
+    TimingModel tm;
+    tm.apSpeed = dp.matchedApSpeed();
+    tm.bandwidth = 100.0;
+    for (const char *spec : kDifferentialFabrics) {
+        const auto topo = makeTopology(spec);
+        const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
+        expectIncrementalMatchesScratch(g, alloc, tm,
+                                        2.0 * tm.tauC(g), *topo,
+                                        false);
+    }
+}
+
+TEST(LinkLoadStateTest, MatchesFromScratchWithHotSpots)
+{
+    for (const char *spec : kDifferentialFabrics) {
+        const auto topo = makeTopology(spec);
+        const HotSpotWorkload w(*topo);
+        expectIncrementalMatchesScratch(w.g, w.alloc, w.tm, 30.0,
+                                        *topo, true);
+    }
+}
+
+TEST(LinkLoadStateTest, EqualLinkUTiesGoToTheFirstTouchedLink)
+{
+    ParallelFixture f;
+    const TimeBounds tb =
+        computeTimeBounds(f.g, f.alloc, f.tm, 40.0);
+    const IntervalSet ivs(tb);
+    const UtilizationAnalyzer ua(tb, ivs, f.cube);
+    const Path low = f.cube.makePath({0, 1, 3});
+    const Path high = f.cube.makePath({0, 2, 3});
+
+    // Both on 0-1-3: links 0-1 and 1-3 tie at 1.2; message 0 crosses
+    // 0-1 first.
+    PathAssignment pa;
+    pa.paths = {low, low};
+    LinkLoadState load(ua, pa);
+    expectSameReport(load, ua, f.cube, pa, "both low");
+    EXPECT_EQ(load.report().position.link, f.cube.linkBetween(0, 1));
+
+    // Split: four links tie at 0.6; message 0's first link wins.
+    load.move(0, high);
+    pa.paths[0] = high;
+    expectSameReport(load, ua, f.cube, pa, "split");
+    EXPECT_EQ(load.report().position.link, f.cube.linkBetween(0, 2));
+
+    // Swap which message is first on which links.
+    load.move(0, low);
+    load.move(1, high);
+    pa.paths = {low, high};
+    expectSameReport(load, ua, f.cube, pa, "swapped");
+    EXPECT_EQ(load.report().position.link, f.cube.linkBetween(0, 1));
+}
+
+/**
+ * A link's place in the scan follows its first message's route, so
+ * a move that keeps a link but changes where the route crosses it
+ * can reorder ties. Minimal routes always cross a shared link at the
+ * same position; a detour does not.
+ */
+TEST(LinkLoadStateTest, TieOrderFollowsThePositionInTheRoute)
+{
+    ParallelFixture f;
+    const auto cube3 = GeneralizedHypercube::binaryCube(3);
+    TaskAllocation alloc{4, 8};
+    alloc.assign(0, 0);
+    alloc.assign(1, 5);
+    alloc.assign(2, 3);
+    alloc.assign(3, 3);
+    const TimeBounds tb = computeTimeBounds(f.g, alloc, f.tm, 40.0);
+    const IntervalSet ivs(tb);
+    const UtilizationAnalyzer ua(tb, ivs, cube3);
+    const Path direct = cube3.makePath({0, 1, 3});
+    const Path detour = cube3.makePath({0, 4, 5, 1, 3});
+
+    // Message 1 (5-1-3) doubles the load on 5-1 and 1-3.
+    PathAssignment pa;
+    pa.paths = {direct, cube3.makePath({5, 1, 3})};
+    LinkLoadState load(ua, pa);
+    expectSameReport(load, ua, cube3, pa, "direct");
+    EXPECT_EQ(load.report().position.link, cube3.linkBetween(1, 3));
+
+    // 1-3 stays on message 0's route but moves from position 1 to
+    // position 3, behind the equally loaded 5-1 at position 2.
+    load.move(0, detour);
+    pa.paths[0] = detour;
+    expectSameReport(load, ua, cube3, pa, "detour");
+    EXPECT_EQ(load.report().position.link, cube3.linkBetween(5, 1));
+
+    load.move(0, direct);
+    pa.paths[0] = direct;
+    expectSameReport(load, ua, cube3, pa, "back");
+}
+
+TEST(LinkLoadStateTest, SpotAndLinkUTieGoesToLinkU)
+{
+    // Two no-slack messages on one route: the link ratio (20 us of
+    // demand in a 10 us window) and the hot-spot count are both 2.0,
+    // and the link ratio is scanned first.
+    ParallelFixture f;
+    TaskFlowGraph g2;
+    const TaskId s1 = g2.addTask("s1", 100.0);
+    const TaskId s2 = g2.addTask("s2", 100.0);
+    const TaskId d1 = g2.addTask("d1", 100.0);
+    const TaskId d2 = g2.addTask("d2", 100.0);
+    g2.addMessage("m1", s1, d1, 640.0);
+    g2.addMessage("m2", s2, d2, 640.0);
+    const TimeBounds tb = computeTimeBounds(g2, f.alloc, f.tm, 40.0);
+    const IntervalSet ivs(tb);
+    const UtilizationAnalyzer ua(tb, ivs, f.cube);
+
+    PathAssignment pa;
+    pa.paths = {f.cube.makePath({0, 2, 3}), f.cube.makePath({0, 1, 3})};
+    LinkLoadState load(ua, pa);
+    expectSameReport(load, ua, f.cube, pa, "split");
+    EXPECT_EQ(load.report().peak, 1.0);
+
+    load.move(0, pa.paths[1]);
+    pa.paths[0] = pa.paths[1];
+    expectSameReport(load, ua, f.cube, pa, "shared");
+    const UtilizationReport rep = load.report();
+    EXPECT_EQ(rep.peak, 2.0);
+    EXPECT_EQ(rep.position,
+              (PeakPosition{false, f.cube.linkBetween(0, 1), 0}));
+    EXPECT_EQ(load.spotCount(f.cube.linkBetween(0, 1),
+                             ivs.intervalAt(tb.messages[0].release)),
+              2);
+}
+
+TEST(LinkLoadStateTest, IdleFabricHasNoPeakPosition)
+{
+    ParallelFixture f;
+    const TimeBounds tb =
+        computeTimeBounds(f.g, f.alloc, f.tm, 40.0);
+    const IntervalSet ivs(tb);
+    const UtilizationAnalyzer ua(tb, ivs, f.cube);
+    const Path local = f.cube.makePath({0});
+    const Path route = f.cube.makePath({0, 1, 3});
+
+    PathAssignment pa;
+    pa.paths = {local, local};
+    LinkLoadState load(ua, pa);
+    expectSameReport(load, ua, f.cube, pa, "idle");
+    EXPECT_EQ(load.report().peak, 0.0);
+    EXPECT_EQ(load.report().position.link, kInvalidLink);
+
+    load.move(1, route);
+    EXPECT_GT(load.report().peak, 0.0);
+    load.move(1, local);
+    expectSameReport(load, ua, f.cube, pa, "idle again");
+    EXPECT_EQ(load.report().position, PeakPosition{});
 }
 
 TEST(AssignPathsTest, FindsTheBalancedAssignment)

@@ -187,6 +187,9 @@ TEST(ServerProtocol, RejectsMalformedLines)
     const char *bad[] = {
         "open a period=120 tfg=dvb\n",            // missing topo
         "open a topo=cube:3 period=0 tfg=dvb\n",  // bad period
+        "open a topo=cube:3 period=nan tfg=dvb\n", // non-finite
+        "open a topo=cube:3 period=120 tfg=dvb bw=nan\n",
+        "open a topo=cube:3 period=inf tfg=dvb\n",
         "open open topo=cube:3 period=1 tfg=dvb\n", // reserved name
         "a admit x0 probe verify 256\n"
         "close a extra\n",

@@ -5,11 +5,13 @@
  */
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "util/logging.hh"
 #include "util/matrix.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
 #include "util/time.hh"
@@ -17,6 +19,23 @@
 
 namespace srsim {
 namespace {
+
+TEST(ParseTest, AcceptsOnlyOneWholeFiniteNumber)
+{
+    double v = -1.0;
+    EXPECT_TRUE(parseFinite("120", &v));
+    EXPECT_EQ(v, 120.0);
+    EXPECT_TRUE(parseFinite("-2.5e-3", &v));
+    EXPECT_EQ(v, -2.5e-3);
+    for (const char *bad :
+         {"", "abc", "nan", "NaN", "inf", "-inf", "1e999", "12abc",
+          "1.5 ", "--3"}) {
+        v = 7.0;
+        EXPECT_FALSE(parseFinite(bad, &v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7.0) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parseFinite(std::string("1\0" "2", 3), &v));
+}
 
 TEST(TimeTest, EqualityWithinEps)
 {

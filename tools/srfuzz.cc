@@ -49,6 +49,7 @@
 #include "fuzz/shrink.hh"
 #include "solver/lp.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace {
 
@@ -67,11 +68,18 @@ struct Options
         return it == kv.end() ? dflt : it->second;
     }
 
+    /** A numeric flag: absent -> dflt, else one finite number. */
     double
     num(const std::string &k, double dflt) const
     {
         auto it = kv.find(k);
-        return it == kv.end() ? dflt : std::stod(it->second);
+        if (it == kv.end())
+            return dflt;
+        double v = 0.0;
+        if (!parseFinite(it->second, &v))
+            fatal("invalid input: --", k,
+                  " expects a finite number, got '", it->second, "'");
+        return v;
     }
 };
 

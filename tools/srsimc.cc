@@ -65,6 +65,7 @@
 #include "trace/trace.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "wormhole/wormhole.hh"
 
 namespace {
@@ -85,11 +86,38 @@ struct Options
         return it == kv.end() ? dflt : it->second;
     }
 
+    /** A numeric flag: absent -> dflt, else one finite number. */
     double
     num(const std::string &k, double dflt) const
     {
         auto it = kv.find(k);
-        return it == kv.end() ? dflt : std::stod(it->second);
+        if (it == kv.end())
+            return dflt;
+        double v = 0.0;
+        if (!parseFinite(it->second, &v))
+            fatal("invalid input: --", k,
+                  " expects a finite number, got '", it->second, "'");
+        return v;
+    }
+
+    /** A numeric flag that must be > 0 when given. */
+    double
+    positive(const std::string &k, double dflt) const
+    {
+        const double v = num(k, dflt);
+        if (has(k) && !(v > 0.0))
+            fatal("invalid input: --", k, " must be > 0, got '",
+                  str(k), "'");
+        return v;
+    }
+
+    /** --period, which every scheduling command requires. */
+    double
+    period() const
+    {
+        if (!has("period"))
+            fatal("--period US is required");
+        return positive("period", 0.0);
     }
 };
 
@@ -303,8 +331,8 @@ cmdInfo(const Options &opts)
 {
     const TaskFlowGraph g = loadTfg(opts);
     TimingModel tm;
-    tm.apSpeed = opts.num("ap-speed", 1.0);
-    tm.bandwidth = opts.num("bandwidth", 64.0);
+    tm.apSpeed = opts.positive("ap-speed", 1.0);
+    tm.bandwidth = opts.positive("bandwidth", 64.0);
     const InvocationTiming t = computeInvocationTiming(g, tm);
 
     std::cout << "tasks:      " << g.numTasks() << "\n"
@@ -325,11 +353,9 @@ cmdCompile(const Options &opts)
     const TaskFlowGraph g = loadTfg(opts);
     const auto topo = makeTopology(opts.str("topo"));
     TimingModel tm;
-    tm.apSpeed = opts.num("ap-speed", 1.0);
-    tm.bandwidth = opts.num("bandwidth", 64.0);
-    const Time period = opts.num("period", 0.0);
-    if (period <= 0.0)
-        fatal("--period US is required");
+    tm.apSpeed = opts.positive("ap-speed", 1.0);
+    tm.bandwidth = opts.positive("bandwidth", 64.0);
+    const Time period = opts.period();
 
     const TaskAllocation alloc =
         makeAllocation(opts, g, *topo, tm, period);
@@ -452,11 +478,9 @@ cmdSimulate(const Options &opts)
     const TaskFlowGraph g = loadTfg(opts);
     const auto topo = makeTopology(opts.str("topo"));
     TimingModel tm;
-    tm.apSpeed = opts.num("ap-speed", 1.0);
-    tm.bandwidth = opts.num("bandwidth", 64.0);
-    const Time period = opts.num("period", 0.0);
-    if (period <= 0.0)
-        fatal("--period US is required");
+    tm.apSpeed = opts.positive("ap-speed", 1.0);
+    tm.bandwidth = opts.positive("bandwidth", 64.0);
+    const Time period = opts.period();
 
     const TaskAllocation alloc =
         makeAllocation(opts, g, *topo, tm, period);
@@ -569,11 +593,9 @@ cmdServe(const Options &opts)
     const TaskFlowGraph g = loadTfg(opts);
     auto topo = makeTopology(opts.str("topo"));
     TimingModel tm;
-    tm.apSpeed = opts.num("ap-speed", 1.0);
-    tm.bandwidth = opts.num("bandwidth", 64.0);
-    const Time period = opts.num("period", 0.0);
-    if (period <= 0.0)
-        fatal("--period US is required");
+    tm.apSpeed = opts.positive("ap-speed", 1.0);
+    tm.bandwidth = opts.positive("bandwidth", 64.0);
+    const Time period = opts.period();
 
     const TaskAllocation alloc =
         makeAllocation(opts, g, *topo, tm, period);
