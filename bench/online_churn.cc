@@ -19,8 +19,7 @@
  *    hit rate once the workload starts revisiting states.
  *
  * Prints a human summary to stderr and a JSON document to stdout
- * (or to the file named by argv[1]). emit_bench_json runs the same
- * scenarios into BENCH_srsim.json for trend tracking.
+ * (or to the file named by argv[1]).
  */
 
 #include <algorithm>

@@ -15,8 +15,7 @@
  * dispatch overhead (recorded either way).
  *
  * Prints a human summary to stderr and a JSON document to stdout
- * (or to the file named by argv[1]). emit_bench_json runs reduced
- * variants of the same scenarios into BENCH_srsim.json.
+ * (or to the file named by argv[1]).
  */
 
 #include <algorithm>

@@ -2,38 +2,10 @@
 
 #include "metrics/metrics.hh"
 #include "trace/trace.hh"
-#include "util/env.hh"
-#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace srsim {
 namespace engine {
-
-namespace {
-
-/**
- * SRSIM_SOLVER resolved exactly once per process. This is the hoist
- * of the old per-solve lp.cc lookup: after first touch, changing the
- * environment cannot flip the solver kind.
- */
-lp::SolverKind
-envSolverKind()
-{
-    static const lp::SolverKind kind = [] {
-        const std::optional<std::string> v =
-            envString("SRSIM_SOLVER");
-        if (!v || *v == "sparse" || *v == "revised")
-            return lp::SolverKind::Sparse;
-        if (*v == "dense" || *v == "tableau")
-            return lp::SolverKind::Dense;
-        warn("ignoring unknown SRSIM_SOLVER='", *v,
-             "' (expected dense or sparse)");
-        return lp::SolverKind::Sparse;
-    }();
-    return kind;
-}
-
-} // namespace
 
 EngineContext::~EngineContext() = default;
 
@@ -43,20 +15,14 @@ EngineContext::processDefault()
     static EngineContext &ctx = []() -> EngineContext & {
         static EngineContext c;
         c.name_ = "process";
-        c.solver_.kind = envSolverKind();
         return c;
     }();
     return ctx;
 }
 
 void
-EngineContext::configureProcess(
-    std::optional<std::size_t> threads,
-    std::optional<lp::SolverKind> solverKind)
+EngineContext::configureProcess(std::optional<std::size_t> threads)
 {
-    EngineContext &ctx = processDefault();
-    if (solverKind)
-        ctx.solver_.kind = *solverKind;
     if (threads)
         ThreadPool::setGlobalSize(*threads);
 }
@@ -107,7 +73,6 @@ lp::SolveOptions
 EngineContext::solveOptions() const
 {
     lp::SolveOptions opts;
-    opts.kind = solver_.kind;
     opts.registry = &metricsRegistry();
     return opts;
 }
@@ -123,11 +88,6 @@ EngineContext::createChild(const ChildOptions &opts) const
     if (opts.threads > 0)
         child->ownedPool_ =
             std::make_unique<ThreadPool>(opts.threads);
-    child->solver_ = solver_;
-    if (opts.solverKind)
-        child->solver_.kind = *opts.solverKind;
-    if (opts.warmStart)
-        child->solver_.warmStart = *opts.warmStart;
     child->baseSeed_ =
         opts.baseSeed != 0 ? opts.baseSeed : baseSeed_;
     return child;

@@ -2,8 +2,7 @@
  * @file
  * The engine context: one explicit bundle of the cross-cutting
  * services every compile/simulate/serve path needs — metrics
- * registry, trace sink, thread pool, solver configuration, and seed
- * policy.
+ * registry, trace sink, thread pool, and seed policy.
  *
  * Before this existed, each of those was a process-global reached
  * ambiently from ~15 files (`Registry::global()`,
@@ -27,10 +26,9 @@
  *    parent's pool unless given a private thread budget;
  *  - a parent context must outlive its children.
  *
- * Environment policy: SRSIM_SOLVER / SRSIM_THREADS are parsed ONCE —
- * here (first processDefault() touch) or at the CLI entry layer via
- * configureProcess() — never per-solve. A mid-run environment change
- * is invisible by design (pinned by tests/test_engine_context.cc).
+ * Environment policy: SRSIM_THREADS is parsed once, when the shared
+ * pool is first built, and the CLI entry layer may override it via
+ * configureProcess() before any engine work starts.
  */
 
 #ifndef SRSIM_ENGINE_CONTEXT_HH_
@@ -57,24 +55,11 @@ class Tracer;
 
 namespace engine {
 
-/** Solver policy carried by a context. */
-struct SolverConfig
-{
-    /** Solver stack for every lp::solve issued under this context. */
-    lp::SolverKind kind = lp::SolverKind::Sparse;
-    /** Whether re-solves may warm-start from cached bases. */
-    bool warmStart = true;
-};
-
 /** Per-child overrides for EngineContext::createChild(). */
 struct ChildOptions
 {
     /** Diagnostic name ("session.alpha"); also the metrics scope. */
     std::string name;
-    /** Override the solver kind (inherits when unset). */
-    std::optional<lp::SolverKind> solverKind;
-    /** Override warm-start policy (inherits when unset). */
-    std::optional<bool> warmStart;
     /**
      * Private thread budget: > 0 gives the child its own pool of
      * exactly that size; 0 shares the parent's pool.
@@ -100,27 +85,23 @@ class EngineContext
     EngineContext &operator=(const EngineContext &) = delete;
 
     /**
-     * The process-default context. Its solver kind is resolved from
-     * SRSIM_SOLVER exactly once, on first use; registry / tracer /
-     * pool resolve dynamically to the process singletons so tests
-     * that swap those (ThreadPool::setGlobalSize) stay coherent.
+     * The process-default context. Its registry / tracer / pool
+     * resolve dynamically to the process singletons so tests that
+     * swap those (ThreadPool::setGlobalSize) stay coherent.
      */
     static EngineContext &processDefault();
 
     /**
-     * CLI entry configuration: pin the default context's solver kind
-     * and/or resize the shared pool (--threads beats SRSIM_THREADS
-     * beats hardware concurrency). Call before any engine work.
+     * CLI entry configuration: resize the shared pool (--threads
+     * beats SRSIM_THREADS beats hardware concurrency). Call before
+     * any engine work.
      */
-    static void
-    configureProcess(std::optional<std::size_t> threads,
-                     std::optional<lp::SolverKind> solverKind);
+    static void configureProcess(std::optional<std::size_t> threads);
 
     metrics::Registry &metricsRegistry() const;
     trace::Tracer &tracer() const;
     ThreadPool &pool() const;
 
-    const SolverConfig &solver() const { return solver_; }
     std::uint64_t baseSeed() const { return baseSeed_; }
     const std::string &name() const { return name_; }
 
@@ -131,8 +112,8 @@ class EngineContext
     std::uint64_t deriveSeed(std::uint64_t stream) const;
 
     /**
-     * lp::SolveOptions with this context's solver kind and metrics
-     * registry pre-filled — the standard way LP call sites start.
+     * lp::SolveOptions with this context's metrics registry
+     * pre-filled — the standard way LP call sites start.
      */
     lp::SolveOptions solveOptions() const;
 
@@ -153,7 +134,6 @@ class EngineContext
     std::unique_ptr<trace::Tracer> ownedTracer_;
     std::unique_ptr<ThreadPool> ownedPool_;
 
-    SolverConfig solver_;
     std::uint64_t baseSeed_ = 12345;
     std::string name_;
 };

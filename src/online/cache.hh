@@ -57,8 +57,10 @@ namespace online {
 
 /**
  * Canonical serialization of one compile problem. Two problems with
- * equal keys produce byte-identical schedules (the compiler is a
- * deterministic function of exactly these inputs).
+ * equal keys compile from scratch to byte-identical schedules (the
+ * compiler is a deterministic function of exactly these inputs). A
+ * warm-started incremental re-solve cached under the same key is
+ * verified but may print different bytes.
  */
 std::string canonicalWorkloadKey(const TaskFlowGraph &g,
                                  const Topology &topo,

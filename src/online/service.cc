@@ -146,11 +146,8 @@ OnlineScheduler::OnlineScheduler(TaskFlowGraph g,
                            : cfg_.cacheCapacity,
                        &engine::resolve(cfg_.compiler.ctx)
                             .metricsRegistry())),
-      basisCache_(cfg_.warmStartBasis
-                      ? std::make_shared<lp::BasisCache>(
-                            &engine::resolve(cfg_.compiler.ctx)
-                                 .metricsRegistry())
-                      : nullptr)
+      basisCache_(std::make_shared<lp::BasisCache>(
+          &engine::resolve(cfg_.compiler.ctx).metricsRegistry()))
 {
 }
 

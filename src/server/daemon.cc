@@ -83,13 +83,6 @@ SchedulingDaemon::makeSessionContext(const SessionConfig &sc) const
     co.name = "session." + sc.name;
     co.threads = sc.threads;
     co.baseSeed = sc.seed;
-    if (sc.solver == "dense")
-        co.solverKind = lp::SolverKind::Dense;
-    else if (sc.solver == "sparse")
-        co.solverKind = lp::SolverKind::Sparse;
-    else if (!sc.solver.empty())
-        fatal("unknown session solver kind '", sc.solver,
-              "' (expected dense or sparse)");
     return root_->createChild(co);
 }
 
@@ -322,13 +315,7 @@ SchedulingDaemon::restoreFromSnapshot(const DaemonSnapshot &snap,
             return false;
         }
 
-        std::shared_ptr<engine::EngineContext> sctx;
-        try {
-            sctx = makeSessionContext(ss.cfg);
-        } catch (const FatalError &e) {
-            *why = "session '" + ss.cfg.name + "': " + e.what();
-            return false;
-        }
+        auto sctx = makeSessionContext(ss.cfg);
         online::OnlineSchedulerConfig ocfg;
         ocfg.compiler.ctx = sctx.get();
         ocfg.compiler.inputPeriod = ss.period;

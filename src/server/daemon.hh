@@ -12,12 +12,18 @@
  *    deque drained by at most one worker);
  *  - cross-session parallelism: distinct sessions drain on distinct
  *    workers concurrently; they share only the thread-safe
- *    ScheduleCache (content-addressed, so a hit from any session is
- *    byte-identical to a fresh compile);
- *  - determinism: a session's final published schedule depends only
- *    on its own accepted-request sequence, so results are identical
- *    for any worker count (absent overload/deadline rejections,
- *    which admission ordering can change).
+ *    ScheduleCache, keyed by workload. A hit is a verified schedule
+ *    for the same workload, but not necessarily the bytes a fresh
+ *    compile would print: incremental re-solves warm-start from the
+ *    computing session's basis history, and a warm re-solve may end
+ *    on a different optimal vertex than a cold one;
+ *  - determinism: a session that does not use the shared cache
+ *    (cache=0) publishes schedules that depend only on its own
+ *    accepted-request sequence, so they are identical for any
+ *    worker count (absent overload/deadline rejections, which
+ *    admission ordering can change). With the cache on, a session's
+ *    bytes can depend on which session first computed a cached
+ *    state, and so on worker interleaving.
  *
  * Robustness: submit() never blocks — a full queue returns a
  * structured Overloaded rejection; a request older than its
@@ -81,9 +87,9 @@ struct DaemonConfig
     std::size_t cacheCapacity = 64;
     /**
      * Root engine context the daemon runs under; every session gets
-     * a child of it (own metrics registry, optional private solver
-     * kind / thread budget via the open line's solver= / threads=
-     * keys). nullptr uses the process default context.
+     * a child of it (own metrics registry, optional private thread
+     * budget via the open line's threads= key). nullptr uses the
+     * process default context.
      */
     const engine::EngineContext *ctx = nullptr;
 };
@@ -279,8 +285,7 @@ class SchedulingDaemon
     buildService(const SessionConfig &sc, Time period,
                  const engine::EngineContext *ctx) const;
 
-    /** Child context for one session per its open-line overrides;
-        throws FatalError on an unknown solver kind. */
+    /** Child context for one session per its open-line overrides. */
     std::shared_ptr<engine::EngineContext>
     makeSessionContext(const SessionConfig &sc) const;
 

@@ -85,13 +85,6 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
                 return false;
             }
             sc.cache = val == "1";
-        } else if (key == "solver") {
-            if (val != "dense" && val != "sparse") {
-                *err = "solver must be dense or sparse, got '" +
-                       val + "'";
-                return false;
-            }
-            sc.solver = val;
         } else if (key == "threads") {
             if (!parseFinite(val, &num) || num < 1.0 ||
                 num != static_cast<double>(

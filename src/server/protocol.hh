@@ -62,11 +62,6 @@ struct SessionConfig
     /** Whether this session may use the shared schedule cache. */
     bool cache = true;
     /**
-     * LP solver kind for this session's compiles: "dense",
-     * "sparse", or "" to inherit the daemon's solver kind.
-     */
-    std::string solver;
-    /**
      * Private thread budget for this session's engine context;
      * 0 shares the daemon's pool.
      */

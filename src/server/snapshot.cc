@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "online/cache.hh"
+#include "util/parse.hh"
 
 namespace srsim {
 namespace server {
@@ -112,12 +113,9 @@ expectKey(BodyReader &r, const char *key)
 double
 toNumber(BodyReader &r, const std::string &s)
 {
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (!end || *end != '\0' || s.empty()) {
+    double v = 0.0;
+    if (!parseFinite(s, &v))
         r.fail("malformed number '" + s + "'");
-        return 0.0;
-    }
     return v;
 }
 

@@ -46,8 +46,6 @@ encodeWalRecord(const WalRecord &rec)
           // doubles, which cannot hold every 64-bit seed.
           w.kv("seed", std::to_string(sc.seed));
           w.kv("cache", sc.cache);
-          if (!sc.solver.empty())
-              w.kv("solver", sc.solver);
           if (sc.threads > 0)
               w.kv("threads",
                    static_cast<std::uint64_t>(sc.threads));
@@ -123,10 +121,10 @@ decodeWalRecord(const std::string &line)
         sc.seed = std::strtoull(v->at("seed").string.c_str(),
                                 nullptr, 10);
         sc.cache = v->at("cache").boolean;
-        // Absent on records written before sessions carried solver
-        // and thread overrides: inherit-the-daemon defaults.
-        if (v->has("solver"))
-            sc.solver = v->at("solver").string;
+        // Absent on records written before sessions carried thread
+        // overrides: share the daemon's pool. Records written before
+        // the solver-kind switch was retired may carry a "solver"
+        // field; it is ignored.
         if (v->has("threads"))
             sc.threads = static_cast<std::size_t>(
                 v->at("threads").number);

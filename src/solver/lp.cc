@@ -585,10 +585,10 @@ diffCompare(const Problem &p, const Solution &dense,
 }
 
 /**
- * Production solve under SolverKind::Sparse: resume from the warm
- * basis when one is usable, otherwise (or on any fallback) run the
- * deterministic tableau path. Failed warm attempts still count
- * their pivots into the returned total.
+ * The production solve: resume from the warm basis when one is
+ * usable, otherwise (or on any fallback) run the deterministic
+ * tableau path. Failed warm attempts still count their pivots into
+ * the returned total.
  */
 Solution
 warmOrDense(const Problem &p, const SolveOptions &opts)
@@ -608,7 +608,7 @@ warmOrDense(const Problem &p, const SolveOptions &opts)
 }
 
 /** Run every oracle, record disagreements, return the production
- *  result (opts.kind semantics, warm start honored). */
+ *  result (warm start honored). */
 Solution
 diffSolve(const Problem &p, const SolveOptions &opts)
 {
@@ -621,8 +621,7 @@ diffSolve(const Problem &p, const SolveOptions &opts)
     if (opts.warmStart != nullptr && !opts.warmStart->empty()) {
         const Solution warm = solveRevised(p, opts);
         diffCompare(p, dense, warm, "sparse-warm");
-        if (opts.kind == SolverKind::Sparse)
-            return warmOrDense(p, opts);
+        return warmOrDense(p, opts);
     }
     return dense;
 }
@@ -688,14 +687,9 @@ resetSolverDiffStats()
 Solution
 solve(const Problem &p, const SolveOptions &opts)
 {
-    Solution sol;
-    if (g_diff_enabled.load(std::memory_order_relaxed)) {
-        sol = diffSolve(p, opts);
-    } else if (opts.kind == SolverKind::Sparse) {
-        sol = warmOrDense(p, opts);
-    } else {
-        sol = solveDense(p, opts);
-    }
+    Solution sol = g_diff_enabled.load(std::memory_order_relaxed)
+                       ? diffSolve(p, opts)
+                       : warmOrDense(p, opts);
     detail::SolverCounterBlock &b = detail::solverCounters();
     b.solves.fetch_add(1);
     b.pivots.fetch_add(sol.pivots);
@@ -733,7 +727,7 @@ solveMip(const Problem &p, const MipOptions &opts)
 
     // One B&B tree node: the branch bounds that define its
     // subproblem, plus the parent relaxation's optimal basis for a
-    // dual-simplex warm start (empty at the root / in dense mode).
+    // dual-simplex warm start (empty at the root).
     struct Node
     {
         std::vector<Branch> branches;

@@ -184,38 +184,9 @@ struct Solution
     bool feasible() const { return status == Status::Optimal; }
 };
 
-/**
- * Which solver stack the lp::solve dispatcher uses.
- *
- * Dense runs the two-phase tableau simplex for everything and
- * ignores warm-start bases. Sparse layers the revised-simplex
- * warm-start machinery on top of it: a solve carrying a usable warm
- * basis resumes with revised primal/dual pivots, and everything
- * else — cold solves, and any warm attempt that falls through the
- * fallback ladder — runs the identical tableau path.
- *
- * Cold solves are therefore bit-identical across both kinds by
- * construction. That is deliberate: published schedules print raw
- * doubles, so the golden byte-identity suite requires the cold
- * pipeline to be arithmetic-for-arithmetic deterministic, which no
- * independently-implemented elimination order can provide. The
- * genuinely independent sparse implementation (solveRevised) is the
- * differential oracle instead: `srfuzz --solver-diff` cross-checks
- * its verdicts and objectives against the tableau on every case.
- */
-enum class SolverKind { Dense, Sparse };
-
 /** Solver knobs. */
 struct SolveOptions
 {
-    /**
-     * Solver stack for this solve. There is no process-wide default
-     * any more: the engine context carries the configured kind
-     * (EngineContext::solveOptions() pre-fills it) and the CLI entry
-     * layer parses SRSIM_SOLVER exactly once into the root context,
-     * so a mid-run environment change cannot flip the solver.
-     */
-    SolverKind kind = SolverKind::Sparse;
     /** Hard cap on pivots across both phases. */
     std::size_t maxIterations = 200000;
     /**
@@ -239,17 +210,17 @@ struct SolveOptions
     double feasFloor = 1e-6;
     /**
      * Candidate warm-start basis (borrowed; must outlive the call).
-     * Honored by the sparse revised solver only: when the basis fits
-     * the problem it resumes with primal phase-2 or dual-simplex
-     * steps; on dimension mismatch, singular factorization, or
-     * numerical failure it falls back to a cold two-phase solve.
-     * The dense solver ignores it.
+     * When the basis fits the problem, lp::solve resumes from it
+     * with revised primal phase-2 or dual-simplex steps; on
+     * dimension mismatch, singular factorization, or numerical
+     * failure it falls back to the cold dense tableau solve.
+     * solveDense ignores it.
      */
     const Basis *warmStart = nullptr;
     /**
      * When set (and metrics are enabled), the dispatcher bumps
      * "solver.solves"/"solver.pivots" and the warm-start machinery
-     * bumps "solver.warmstart.{attempts,hits,misses}" against this
+     * bumps "solver.warmstart.{hits,misses}" against this
      * registry — a per-session child registry under the daemon, the
      * process registry under the default context. nullptr records
      * nothing (the process-wide SolverStats block still counts).
@@ -280,8 +251,8 @@ void resetSolverStats();
  * dense tableau, the sparse cold, and (when a warm basis was passed)
  * the sparse warm solver, cross-checks status agreement and
  * objective equality to 1e-6 relative, and records disagreements.
- * The production result (per defaultSolver) is still returned, so
- * enabling the oracle never changes published schedules.
+ * The production result is still returned, so enabling the oracle
+ * never changes published schedules.
  */
 void setSolverDiff(bool enabled);
 
@@ -316,13 +287,21 @@ SolverCounterBlock &solverCounters();
 } // namespace detail
 
 /**
- * Solve the LP relaxation with the stack selected by
- * SolveOptions::kind: warm-start-capable (SolverKind::Sparse, the
- * default) or pure dense tableau. Cold solves produce bit-identical
- * results under either kind; only solves carrying a usable
- * SolveOptions::warmStart diverge, by resuming from the candidate
- * basis instead of re-running two phases. Integrality marks are
- * ignored (this is the relaxation).
+ * Solve the LP relaxation. A solve carrying a usable
+ * SolveOptions::warmStart resumes from that basis with revised
+ * primal/dual pivots; every other solve, and any warm attempt that
+ * falls through the fallback ladder, runs the dense two-phase
+ * tableau.
+ *
+ * Cold solves are therefore exactly the dense tableau's arithmetic.
+ * That is deliberate: published schedules print raw doubles, so the
+ * golden byte-identity suite requires the cold pipeline to be
+ * arithmetic-for-arithmetic deterministic, which no independently
+ * implemented elimination order can provide. The independent sparse
+ * implementation (solveRevised) is the differential oracle instead:
+ * `srfuzz --solver-diff` cross-checks its verdicts and objectives
+ * against the tableau on every case. Integrality marks are ignored
+ * (this is the relaxation).
  */
 Solution solve(const Problem &p, const SolveOptions &opts = {});
 

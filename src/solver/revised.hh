@@ -13,13 +13,12 @@
  *
  * Two entry points with different roles:
  *
- * solveRevisedWarm() is the production warm-start path used by the
- * lp::solve dispatcher under SolverKind::Sparse. It only ever runs
- * *from a candidate basis*; if the basis does not pan out it
- * reports failure and the dispatcher runs the deterministic tableau
- * solver, so cold results stay bit-identical to SolverKind::Dense
- * (published schedules print raw doubles, making golden
- * byte-identity arithmetic-sensitive; see SolverKind).
+ * solveRevisedWarm() is the production warm-start path used by
+ * lp::solve. It only ever runs *from a candidate basis*; if the
+ * basis does not pan out it reports failure and lp::solve runs the
+ * deterministic tableau solver, so cold results stay bit-identical
+ * to solveDense (published schedules print raw doubles, making
+ * golden byte-identity arithmetic-sensitive; see lp::solve).
  *
  * solveRevised() is the complete independent solver — cold
  * two-phase sparse simplex plus the same warm machinery. Its pivot

@@ -4,14 +4,26 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace srsim {
 
 namespace {
 
 constexpr const char *kMagic = "srsim-tfg v1";
+
+/** The remaining whitespace-separated tokens of one line. */
+std::vector<std::string>
+restOf(std::istringstream &ls)
+{
+    std::vector<std::string> out;
+    for (std::string tok; ls >> tok;)
+        out.push_back(tok);
+    return out;
+}
 
 } // namespace
 
@@ -52,20 +64,27 @@ readTfg(std::istream &is)
             ended = true;
             break;
         }
+        const std::vector<std::string> args = restOf(ls);
         if (kw == "task") {
-            std::string name;
-            double ops;
-            if (!(ls >> name >> ops))
-                fatal("line ", lineno, ": malformed task line");
+            double ops = 0.0;
+            if (args.size() != 2 || !parseFinite(args[1], &ops))
+                fatal("line ", lineno,
+                      ": malformed task line (expected 'task <name> "
+                      "<operations>')");
+            const std::string &name = args[0];
             if (tasks.count(name))
                 fatal("line ", lineno, ": duplicate task '", name,
                       "'");
             tasks[name] = g.addTask(name, ops);
         } else if (kw == "message") {
-            std::string name, src, dst;
-            double bytes;
-            if (!(ls >> name >> src >> dst >> bytes))
-                fatal("line ", lineno, ": malformed message line");
+            double bytes = 0.0;
+            if (args.size() != 4 || !parseFinite(args[3], &bytes))
+                fatal("line ", lineno,
+                      ": malformed message line (expected 'message "
+                      "<name> <src> <dst> <bytes>')");
+            const std::string &name = args[0];
+            const std::string &src = args[1];
+            const std::string &dst = args[2];
             if (message_names.count(name))
                 fatal("line ", lineno, ": duplicate message '",
                       name, "'");

@@ -5,6 +5,7 @@
 
 #include "topology/generalized_hypercube.hh"
 #include "topology/mesh.hh"
+#include "topology/mixed_radix.hh"
 #include "topology/torus.hh"
 #include "util/logging.hh"
 
@@ -38,6 +39,26 @@ parseRadices(const std::string &list)
     return out;
 }
 
+[[noreturn]] void
+tooLarge(const std::string &spec)
+{
+    fatal("invalid input: topology '", spec, "' has more than ",
+          MixedRadix::kMaxSize, " nodes");
+}
+
+/** Fatal unless the extents' product fits MixedRadix's addresses. */
+std::vector<int>
+checkedSize(const std::string &spec, std::vector<int> radices)
+{
+    long n = 1;
+    for (int m : radices) {
+        n *= m; // n <= kMaxSize before the multiply: cannot overflow
+        if (n > MixedRadix::kMaxSize)
+            tooLarge(spec);
+    }
+    return radices;
+}
+
 } // namespace
 
 std::unique_ptr<Topology>
@@ -59,16 +80,20 @@ makeTopology(const std::string &spec)
         }
         if (n < 1)
             fatal("cube dimension must be >= 1");
+        if (n > 30 || (1L << n) > MixedRadix::kMaxSize) // 2^n nodes
+            tooLarge(spec);
         return std::make_unique<GeneralizedHypercube>(
             GeneralizedHypercube::binaryCube(n));
     }
     if (kind == "ghc")
         return std::make_unique<GeneralizedHypercube>(
-            parseRadices(dims));
+            checkedSize(spec, parseRadices(dims)));
     if (kind == "torus")
-        return std::make_unique<Torus>(parseRadices(dims));
+        return std::make_unique<Torus>(
+            checkedSize(spec, parseRadices(dims)));
     if (kind == "mesh")
-        return std::make_unique<Mesh>(parseRadices(dims));
+        return std::make_unique<Mesh>(
+            checkedSize(spec, parseRadices(dims)));
     fatal("unknown topology kind '", kind,
           "' (use cube, ghc, torus, or mesh)");
 }

@@ -23,7 +23,8 @@ namespace srsim {
 
 /**
  * Build a topology from a spec string.
- * Fatal on malformed specs.
+ * Fatal on malformed specs, and ("invalid input") on fabrics with
+ * more nodes than MixedRadix can address.
  */
 std::unique_ptr<Topology> makeTopology(const std::string &spec);
 

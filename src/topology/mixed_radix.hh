@@ -22,6 +22,9 @@ namespace srsim {
 class MixedRadix
 {
   public:
+    /** Largest supported address count (node ids are ints). */
+    static constexpr long kMaxSize = 1L << 24;
+
     /** @param radices radix per dimension, dimension 0 first */
     explicit MixedRadix(std::vector<int> radices)
         : radices_(std::move(radices))
@@ -42,7 +45,7 @@ class MixedRadix
         long n = 1;
         for (int m : radices_)
             n *= m;
-        SRSIM_ASSERT(n <= 1 << 24, "topology too large");
+        SRSIM_ASSERT(n <= kMaxSize, "topology too large");
         return static_cast<int>(n);
     }
 

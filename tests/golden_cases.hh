@@ -111,7 +111,8 @@ struct GoldenInputs
  * exactly the bytes its tests/golden/<name>.sched must hold.
  * FatalError when the case is infeasible (the table itself is then
  * broken). `ctx` lets a caller pin the engine context (e.g. a
- * forced solver kind); nullptr uses the process default.
+ * child whose registry isolates the case's counters); nullptr uses
+ * the process default.
  */
 inline std::string
 compileGoldenCase(const GoldenCase &gc,

@@ -1,15 +1,12 @@
 /**
  * @file
- * Engine-context suite: environment pinning (SRSIM_SOLVER is read
- * once, never per-solve), child-context overrides (solver kind,
- * warm-start policy, thread budget, seed), and the write-through
- * metrics contract that keeps parent aggregates exact while each
- * child registry shows only its own activity.
+ * Engine-context suite: child-context overrides (thread budget,
+ * seed), and the write-through metrics contract that keeps parent
+ * aggregates exact while each child registry shows only its own
+ * activity.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "engine/context.hh"
 #include "metrics/metrics.hh"
@@ -22,83 +19,27 @@ namespace {
 using engine::ChildOptions;
 using engine::EngineContext;
 
-/** Restores (or unsets) an environment variable on scope exit. */
-class ScopedEnv
+TEST(EngineContextChild, SolveOptionsCountIntoTheChildRegistry)
 {
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *prev = std::getenv(name);
-        hadPrev_ = prev != nullptr;
-        if (hadPrev_)
-            prev_ = prev;
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadPrev_)
-            ::setenv(name_, prev_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool hadPrev_ = false;
-    std::string prev_;
-};
-
-// Satellite pin for the env-hoist: the default context resolves
-// SRSIM_SOLVER exactly once (first touch), so flipping the variable
-// mid-run must NOT flip the solver kind of later solves. Before the
-// refactor lp.cc consulted getenv on every solve.
-TEST(EngineContextEnv, MidRunSolverEnvChangeDoesNotFlipKind)
-{
-    const lp::SolverKind pinned =
-        EngineContext::processDefault().solver().kind;
-    const char *other =
-        pinned == lp::SolverKind::Dense ? "sparse" : "dense";
-    ScopedEnv env("SRSIM_SOLVER", other);
-    EXPECT_EQ(EngineContext::processDefault().solver().kind,
-              pinned);
-    EXPECT_EQ(EngineContext::processDefault().solveOptions().kind,
-              pinned);
-    // A child created *after* the env change inherits the pinned
-    // kind too — the environment is dead once the root is built.
-    ChildOptions co;
-    co.name = "env-test";
-    const auto child =
-        EngineContext::processDefault().createChild(co);
-    EXPECT_EQ(child->solver().kind, pinned);
-}
-
-TEST(EngineContextChild, SolverKindAndWarmStartOverride)
-{
+    metrics::Registry::setEnabled(true);
     EngineContext &root = EngineContext::processDefault();
+    ChildOptions co;
+    co.name = "solve-opts";
+    const auto c = root.createChild(co);
+    EXPECT_EQ(c->solveOptions().registry, &c->metricsRegistry());
+    EXPECT_NE(&c->metricsRegistry(), &root.metricsRegistry());
 
-    ChildOptions dense;
-    dense.name = "dense";
-    dense.solverKind = lp::SolverKind::Dense;
-    const auto d = root.createChild(dense);
-    EXPECT_EQ(d->solver().kind, lp::SolverKind::Dense);
-    EXPECT_EQ(d->solveOptions().kind, lp::SolverKind::Dense);
-    // Unset fields inherit.
-    EXPECT_EQ(d->solver().warmStart, root.solver().warmStart);
-
-    ChildOptions nowarm;
-    nowarm.name = "nowarm";
-    nowarm.warmStart = false;
-    const auto w = root.createChild(nowarm);
-    EXPECT_FALSE(w->solver().warmStart);
-    EXPECT_EQ(w->solver().kind, root.solver().kind);
-
-    // solveOptions points at the child's own registry.
-    EXPECT_EQ(d->solveOptions().registry, &d->metricsRegistry());
-    EXPECT_NE(&d->metricsRegistry(), &root.metricsRegistry());
+    lp::Problem p;
+    p.addVariable(1.0);
+    p.addVariable(2.0);
+    p.addConstraint({{0, 1.0}, {1, 1.0}}, lp::Relation::GreaterEq,
+                    4.0);
+    const lp::Solution s = lp::solve(p, c->solveOptions());
+    ASSERT_EQ(s.status, lp::Status::Optimal);
+    EXPECT_NEAR(s.objective, 4.0, 1e-9);
+    EXPECT_EQ(c->metricsRegistry().counter("solver.solves").value(),
+              1u);
+    metrics::Registry::setEnabled(false);
 }
 
 TEST(EngineContextChild, RegistryWritesThroughAndIsolates)
@@ -181,29 +122,6 @@ TEST(EngineContextChild, DeriveSeedIsDeterministicAndStreamed)
     const auto i = root.createChild(inh);
     EXPECT_EQ(i->baseSeed(), root.baseSeed());
     EXPECT_EQ(i->deriveSeed(4), root.deriveSeed(4));
-}
-
-TEST(EngineContextChild, SolveHonorsTheContextKind)
-{
-    // A tiny LP solved under both child kinds must agree — the kind
-    // travels in SolveOptions now, not in any process global.
-    lp::Problem p;
-    p.addVariable(1.0);
-    p.addVariable(2.0);
-    p.addConstraint({{0, 1.0}, {1, 1.0}}, lp::Relation::GreaterEq,
-                    4.0);
-
-    EngineContext &root = EngineContext::processDefault();
-    for (const lp::SolverKind kind :
-         {lp::SolverKind::Dense, lp::SolverKind::Sparse}) {
-        ChildOptions co;
-        co.name = "solve-kind";
-        co.solverKind = kind;
-        const auto c = root.createChild(co);
-        const lp::Solution s = lp::solve(p, c->solveOptions());
-        ASSERT_EQ(s.status, lp::Status::Optimal);
-        EXPECT_NEAR(s.objective, 4.0, 1e-9);
-    }
 }
 
 } // namespace

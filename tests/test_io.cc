@@ -20,6 +20,19 @@
 namespace srsim {
 namespace {
 
+/** Message of the FatalError `fn` throws ("" when none). */
+template <typename Fn>
+std::string
+fatalMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return {};
+}
+
 TEST(TfgIoTest, RoundTripPreservesGraph)
 {
     const TaskFlowGraph g = buildDvbTfg({});
@@ -80,6 +93,37 @@ TEST(TfgIoTest, RejectsBadInputs)
         parse("srsim-tfg v1\ntask a 1\ntask b 1\n"
               "message m1 a b 5\nmessage m2 b a 5\nend\n"),
         FatalError);
+}
+
+TEST(TfgIoTest, MalformedNumbersAndTrailingTokensNameTheirLine)
+{
+    const struct
+    {
+        const char *line;
+        int lineno;
+    } bad[] = {
+        {"task t 12abc", 3},
+        {"task t nan", 3},
+        {"task t inf", 3},
+        {"task t 12 extra", 3},
+        {"task t", 3},
+        {"message m a b 64x", 4},
+        {"message m a b nan", 4},
+        {"message m a b 64 extra", 4},
+        {"message m a b", 4},
+    };
+    for (const auto &b : bad) {
+        std::stringstream ss;
+        ss << "srsim-tfg v1\ntask a 1\n";
+        if (b.lineno == 4)
+            ss << "task b 1\n";
+        ss << b.line << "\nend\n";
+        const std::string msg = fatalMessage([&] { readTfg(ss); });
+        EXPECT_EQ(msg.rfind("line " + std::to_string(b.lineno) + ":",
+                            0),
+                  0u)
+            << b.line << ": '" << msg << "'";
+    }
 }
 
 /**
@@ -244,6 +288,20 @@ TEST(TopologyFactoryTest, RejectsBadSpecs)
     EXPECT_THROW(makeTopology("torus:8,x"), FatalError);
     EXPECT_THROW(makeTopology("torus:8,1"), FatalError);
     EXPECT_THROW(makeTopology("cube:0"), FatalError);
+}
+
+TEST(TopologyFactoryTest, RejectsOversizeFabricsAsInvalidInput)
+{
+    // Past 2^24 nodes MixedRadix cannot address the fabric; the
+    // factory must refuse before building it, never assert.
+    for (const char *spec :
+         {"cube:25", "cube:40", "cube:2000000000", "torus:4097,4096",
+          "ghc:256,256,256,2", "mesh:65536,65536,65536,65536"}) {
+        const std::string msg =
+            fatalMessage([&] { makeTopology(spec); });
+        EXPECT_EQ(msg.rfind("invalid input:", 0), 0u)
+            << spec << ": '" << msg << "'";
+    }
 }
 
 } // namespace

@@ -501,25 +501,5 @@ TEST(RevisedDiff, OracleSeesNoDisagreements)
     EXPECT_EQ(ds.disagreements, 0u) << ds.firstReport;
 }
 
-/** SRSIM_SOLVER=dense ignores warm bases entirely. */
-TEST(RevisedKind, DenseKindIgnoresWarmStart)
-{
-    const Problem p = sampleLp();
-    const Solution cold = lp::solveDense(p);
-    ASSERT_EQ(cold.status, Status::Optimal);
-
-    lp::resetSolverStats();
-    SolveOptions opts;
-    opts.kind = lp::SolverKind::Dense;
-    opts.warmStart = &cold.basis;
-    const Solution s = lp::solve(p, opts);
-    const lp::SolverStats st = lp::solverStats();
-
-    ASSERT_EQ(s.status, Status::Optimal);
-    EXPECT_EQ(s.objective, cold.objective);
-    EXPECT_EQ(st.warmAttempts, 0u);
-    EXPECT_EQ(s.pivots, cold.pivots);
-}
-
 } // namespace
 } // namespace srsim

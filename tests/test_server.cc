@@ -13,6 +13,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -202,6 +203,15 @@ TEST(ServerProtocol, RejectsMalformedLines)
         std::istringstream is(script);
         EXPECT_FALSE(server::parseDaemonScript(is).ok) << script;
     }
+    // The retired solver-kind switch is an unknown key like any
+    // other, not a value error.
+    std::istringstream legacy(
+        "open a topo=cube:3 period=120 tfg=dvb solver=dense\n");
+    const server::DaemonScriptParseResult r =
+        server::parseDaemonScript(legacy);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "unknown open key 'solver'");
+    EXPECT_EQ(r.errorLine, 1);
 }
 
 // -- WAL ----------------------------------------------------------
@@ -446,6 +456,22 @@ TEST(ServerSnapshot, DecodeIsTotalOnGarbage)
         body.substr(0, body.size() / 2), &snap, &err));
 }
 
+TEST(ServerSnapshot, NonFiniteNumbersAreRejected)
+{
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        server::DaemonSnapshot snap = sampleSnapshot();
+        snap.sessions[0].period = bad;
+        server::DaemonSnapshot back;
+        std::string err;
+        EXPECT_FALSE(server::decodeSnapshot(
+            server::encodeSnapshot(snap), &back, &err));
+        EXPECT_NE(err.find("malformed number"), std::string::npos)
+            << err;
+    }
+}
+
 TEST(ServerSnapshot, FilesAreContentAddressedAndVerified)
 {
     const std::string dir = scratchDir("snap-files");
@@ -568,10 +594,10 @@ TEST(ServerDaemon, StaleRequestsExpireAtPickup)
 
 /**
  * Per-session isolation (the context refactor's acceptance case):
- * two *concurrent* sessions with different solver kinds and thread
- * budgets must land their solver.warmstart.* and online.* counters
- * in their own child registries with zero cross-session bleed,
- * while the daemon root registry holds the exact aggregate.
+ * two *concurrent* sessions that differ only in thread budget and
+ * request count must land their solver.warmstart.* and online.*
+ * counters in their own child registries with zero cross-session
+ * bleed, while the daemon root registry holds the exact aggregate.
  * Runs in the plain and TSan lanes (suite is labeled server+tsan).
  */
 TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
@@ -590,19 +616,17 @@ TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
     cfg.cacheCapacity = 0; // every request is a real re-solve
     SchedulingDaemon d(cfg);
 
-    SessionConfig warm = figSession("warm");
-    warm.solver = "sparse";
-    warm.cache = false;
-    SessionConfig cold = figSession("cold");
-    cold.solver = "dense";
-    cold.threads = 2;
-    cold.cache = false;
-    ASSERT_TRUE(d.open(warm).result.accepted);
-    ASSERT_TRUE(d.open(cold).result.accepted);
+    SessionConfig shared = figSession("shared");
+    shared.cache = false;
+    SessionConfig budgeted = figSession("budgeted");
+    budgeted.threads = 2;
+    budgeted.cache = false;
+    ASSERT_TRUE(d.open(shared).result.accepted);
+    ASSERT_TRUE(d.open(budgeted).result.accepted);
 
     // Distinct request counts per session: equal counters in both
     // registries would mask a cross-wiring bug.
-    const int warmN = 6, coldN = 4;
+    const int sharedN = 6, budgetedN = 4;
     const auto churn = [&](const std::string &session, int n) {
         for (int i = 0; i < n; ++i) {
             online::Request admit;
@@ -614,18 +638,18 @@ TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
                 d.submit(session, admit).get().result.accepted);
         }
     };
-    std::thread tw([&] { churn("warm", warmN); });
-    std::thread tc([&] { churn("cold", coldN); });
-    tw.join();
-    tc.join();
+    std::thread ts([&] { churn("shared", sharedN); });
+    std::thread tb([&] { churn("budgeted", budgetedN); });
+    ts.join();
+    tb.join();
     d.drain();
 
     const auto mets = d.sessionMetrics();
     ASSERT_EQ(mets.size(), 2u);
-    EXPECT_EQ(mets[0].first, "warm");
-    EXPECT_EQ(mets[1].first, "cold");
-    const metrics::Registry &warmReg = *mets[0].second;
-    const metrics::Registry &coldReg = *mets[1].second;
+    EXPECT_EQ(mets[0].first, "shared");
+    EXPECT_EQ(mets[1].first, "budgeted");
+    const metrics::Registry &sharedReg = *mets[0].second;
+    const metrics::Registry &budgetedReg = *mets[1].second;
     const auto count = [](const metrics::Registry &r,
                           const std::string &name) {
         // counterSnapshot, not counter(): the latter would create
@@ -638,24 +662,24 @@ TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
 
     // online.* landed in the right child, exactly once per request
     // (+1 each: open()'s initial compile is a counted request too).
-    EXPECT_EQ(count(warmReg, "online.requests"),
-              static_cast<std::uint64_t>(warmN + 1));
-    EXPECT_EQ(count(coldReg, "online.requests"),
-              static_cast<std::uint64_t>(coldN + 1));
+    EXPECT_EQ(count(sharedReg, "online.requests"),
+              static_cast<std::uint64_t>(sharedN + 1));
+    EXPECT_EQ(count(budgetedReg, "online.requests"),
+              static_cast<std::uint64_t>(budgetedN + 1));
     // The aggregate is the exact sum — write-through, not copies.
     EXPECT_EQ(count(root->metricsRegistry(), "online.requests"),
-              static_cast<std::uint64_t>(warmN + coldN + 2));
+              static_cast<std::uint64_t>(sharedN + budgetedN + 2));
 
-    // solver.warmstart.* is a sparse-stack phenomenon: the warm
-    // session exercised it, the dense session must show no hits.
-    EXPECT_GT(count(warmReg, "solver.warmstart.hits") +
-                  count(warmReg, "solver.warmstart.misses"),
-              0u);
-    EXPECT_EQ(count(coldReg, "solver.warmstart.hits"), 0u);
-    EXPECT_EQ(count(root->metricsRegistry(),
-                    "solver.warmstart.hits"),
-              count(warmReg, "solver.warmstart.hits") +
-                  count(coldReg, "solver.warmstart.hits"));
+    // Both sessions re-solve warm; each registry holds only its own
+    // warm-start traffic and the root holds their sum.
+    for (const char *name :
+         {"solver.warmstart.hits", "solver.warmstart.misses"}) {
+        EXPECT_EQ(count(root->metricsRegistry(), name),
+                  count(sharedReg, name) + count(budgetedReg, name))
+            << name;
+    }
+    EXPECT_GT(count(sharedReg, "solver.warmstart.hits"), 0u);
+    EXPECT_GT(count(budgetedReg, "solver.warmstart.hits"), 0u);
 
     metrics::Registry::setEnabled(false);
 }
@@ -790,6 +814,133 @@ TEST(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
     EXPECT_EQ(publishedBytes(d2, "a"),
               directBytes("admit x0 probe verify 256\n"
                           "remove x0\n"));
+}
+
+TEST(ServerDaemon, NanSnapshotFallsBackToFullReplay)
+{
+    const std::string dir = scratchDir("recover-nan-snap");
+    const std::string script = "admit x0 probe verify 256\n"
+                               "remove x0\n";
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        SchedulingDaemon d(cfg);
+        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
+        for (const DaemonOp &op : parseOps("a admit x0 probe verify 256\n"
+                                           "a remove x0\n"))
+            ASSERT_TRUE(
+                d.submit("a", op.request).get().result.accepted);
+        d.shutdown(); // writes the final snapshot
+    }
+    // Swap the snapshot for one whose period is NaN. The file's
+    // content hash is valid, so only the number parser can refuse.
+    auto infos = server::listSnapshots(dir);
+    ASSERT_EQ(infos.size(), 1u);
+    server::DaemonSnapshot snap;
+    std::string err;
+    ASSERT_TRUE(server::loadSnapshotFile(infos[0], &snap, &err)) << err;
+    ASSERT_EQ(snap.sessions.size(), 1u);
+    snap.sessions[0].period = std::numeric_limits<double>::quiet_NaN();
+    std::filesystem::remove(infos[0].path);
+    std::string path;
+    ASSERT_TRUE(server::writeSnapshotFile(dir, snap, &path, &err))
+        << err;
+
+    DaemonConfig cfg;
+    cfg.stateDir = dir;
+    SchedulingDaemon d2(cfg);
+    ASSERT_EQ(d2.recovery().rejectedSnapshots.size(), 1u);
+    EXPECT_NE(d2.recovery().rejectedSnapshots[0].find("nan"),
+              std::string::npos)
+        << d2.recovery().rejectedSnapshots[0];
+    EXPECT_TRUE(d2.recovery().snapshotPath.empty());
+    EXPECT_EQ(d2.recovery().replayed, 3u);
+    EXPECT_EQ(d2.recovery().replayRejected, 0u);
+    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script));
+}
+
+TEST(ServerDaemon, LegacySolverFieldInWalIsIgnored)
+{
+    // Open records written while sessions could pick a solver kind
+    // carry "solver":"dense"; recovery must still replay them, to
+    // the bytes the direct service publishes.
+    const std::string dir = scratchDir("recover-legacy-solver");
+    const std::string script = "admit x0 probe verify 256\n";
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        SchedulingDaemon d(cfg);
+        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
+        for (const DaemonOp &op :
+             parseOps("a admit x0 probe verify 256\n"))
+            ASSERT_TRUE(
+                d.submit("a", op.request).get().result.accepted);
+        d.drain();
+        d.crashForTest();
+    }
+    const std::string wal = dir + "/wal.jsonl";
+    std::string body;
+    {
+        std::ifstream in(wal);
+        std::ostringstream os;
+        os << in.rdbuf();
+        body = os.str();
+    }
+    const std::size_t at = body.find("\"cache\":true");
+    ASSERT_NE(at, std::string::npos) << body;
+    ASSERT_LT(at, body.find('\n'));
+    body.insert(at, "\"solver\":\"dense\",");
+    std::ofstream(wal, std::ios::trunc) << body;
+
+    DaemonConfig cfg;
+    cfg.stateDir = dir;
+    SchedulingDaemon d2(cfg);
+    EXPECT_FALSE(d2.recovery().walTornTail);
+    EXPECT_EQ(d2.recovery().replayed, 2u);
+    EXPECT_EQ(d2.recovery().replayRejected, 0u);
+    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script));
+}
+
+TEST(ServerDaemon, RejectedOpenLeavesOthersServingAndIsNotJournaled)
+{
+    const std::string dir = scratchDir("rejected-open");
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        cfg.workers = 2;
+        SchedulingDaemon d(cfg);
+        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
+        online::Request admit;
+        admit.kind = online::RequestKind::AdmitMessage;
+        admit.admits.push_back({"x0", "probe", "verify", 256.0});
+        ASSERT_TRUE(d.submit("a", admit).get().result.accepted);
+
+        // Past MixedRadix's address space: an error for this open
+        // only, never an abort of the daemon.
+        SessionConfig big = figSession("big");
+        big.topo = "cube:40";
+        const DaemonResponse r = d.open(big);
+        EXPECT_EQ(r.outcome, DaemonOutcome::InvalidConfig);
+        EXPECT_NE(r.detail.find("invalid input"), std::string::npos)
+            << r.detail;
+        SessionConfig unknown = figSession("unknown");
+        unknown.topo = "hypertorus:9";
+        EXPECT_EQ(d.open(unknown).outcome,
+                  DaemonOutcome::InvalidConfig);
+
+        online::Request remove;
+        remove.kind = online::RequestKind::RemoveMessage;
+        remove.name = "x0";
+        ASSERT_TRUE(d.submit("a", remove).get().result.accepted);
+        EXPECT_EQ(d.sessionNames(), std::vector<std::string>{"a"});
+        d.shutdown();
+    }
+    const server::WalReadResult wr =
+        server::readWal(dir + "/wal.jsonl");
+    ASSERT_TRUE(wr.ok);
+    ASSERT_EQ(wr.records.size(), 3u);
+    for (const server::WalRecord &rec : wr.records)
+        EXPECT_EQ(rec.op.session, "a");
 }
 
 TEST(ServerDaemon, UnsyncedTailIsLostOnCrash)

@@ -3,8 +3,8 @@
 #
 # The engine-context refactor moved every compile/simulate/serve
 # path off the ambient singletons: code receives its metrics
-# registry, tracer, thread pool, and solver configuration through an
-# explicit EngineContext. This check keeps it that way — it fails on
+# registry, tracer and thread pool through an explicit
+# EngineContext. This check keeps it that way — it fails on
 # any NEW use of
 #
 #   Registry::global()     (metrics)
@@ -14,7 +14,7 @@
 # in product code (src/) outside the sanctioned zones:
 #
 #   src/util/                the process-singleton implementations
-#                            themselves (thread pool, env helpers)
+#                            themselves (thread pool)
 #   src/metrics/metrics.cc   Registry::global()'s own definition
 #   src/trace/trace.cc       Tracer::instance()'s own definition
 #   src/engine/context.cc    the default-context escape hatch

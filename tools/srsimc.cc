@@ -202,9 +202,7 @@ knownFlags()
  * Configure the process-default engine context from the command
  * line, exactly once, before any engine work runs. Precedence for
  * the thread budget: --threads N beats SRSIM_THREADS beats the
- * hardware concurrency (the pool's own default). SRSIM_SOLVER is
- * resolved here too (inside configureProcess), so a mid-run
- * environment change can never flip the solver kind.
+ * hardware concurrency (the pool's own default).
  */
 void
 configureRootContext(const Options &opts)
@@ -216,7 +214,7 @@ configureRootContext(const Options &opts)
             fatal("invalid input: --threads must be >= 1");
         threads = static_cast<std::size_t>(n);
     }
-    engine::EngineContext::configureProcess(threads, std::nullopt);
+    engine::EngineContext::configureProcess(threads);
 }
 
 /** Reject flags the command does not understand. */
