@@ -1,6 +1,7 @@
 #include "mapping/allocation.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -77,7 +78,8 @@ roundRobin(const TaskFlowGraph &g, const Topology &topo, int stride)
     TaskAllocation a(g.numTasks(), topo.numNodes());
     const int n = topo.numNodes();
     for (TaskId t = 0; t < g.numTasks(); ++t)
-        a.assign(t, (t * stride) % n);
+        a.assign(t, static_cast<NodeId>(
+                        static_cast<std::int64_t>(t) * stride % n));
     return a;
 }
 

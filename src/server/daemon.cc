@@ -14,6 +14,7 @@
 #include "topology/factory.hh"
 #include "trace/trace.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace srsim {
 namespace server {
@@ -68,10 +69,13 @@ buildAllocation(const SessionConfig &sc, const TaskFlowGraph &g,
         Rng rng(sc.seed);
         return alloc::random(g, topo, rng);
     }
-    if (sc.alloc.rfind("rr:", 0) == 0)
-        return alloc::roundRobin(g, topo,
-                                 std::stoi(sc.alloc.substr(3)));
-    fatal("unknown alloc kind '", sc.alloc, "'");
+    int stride = 0;
+    if (sc.alloc.rfind("rr:", 0) == 0 &&
+        parseStride(sc.alloc.substr(3), &stride))
+        return alloc::roundRobin(g, topo, stride);
+    fatal("invalid input: unknown alloc kind '", sc.alloc,
+          "' (greedy | random | rr:<stride>, stride in [1, ", INT_MAX,
+          "])");
 }
 
 } // namespace
@@ -1010,6 +1014,17 @@ SchedulingDaemon::sessionMetrics() const
             out.emplace_back(name, &it->second->metricsRegistry());
     }
     return out;
+}
+
+std::size_t
+SchedulingDaemon::sessionPoolSize(const std::string &session) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = sessions_.find(session);
+    if (it == sessions_.end() || !it->second.ctx)
+        return 0;
+    const ThreadPool &pool = it->second.ctx->pool();
+    return &pool == &root_->pool() ? 0 : pool.size();
 }
 
 std::uint64_t

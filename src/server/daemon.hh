@@ -237,6 +237,12 @@ class SchedulingDaemon
     std::vector<std::pair<std::string, const metrics::Registry *>>
     sessionMetrics() const;
 
+    /**
+     * Size of a session's private worker pool (its threads= budget);
+     * 0 when it shares the daemon's pool or is not open.
+     */
+    std::size_t sessionPoolSize(const std::string &session) const;
+
     std::uint64_t walRecords() const;
     std::uint64_t walFsyncs() const;
     std::uint64_t snapshotsWritten() const { return snapshots_; }

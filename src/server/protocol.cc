@@ -15,16 +15,9 @@ validAllocKind(const std::string &kind)
 {
     if (kind == "greedy" || kind == "random")
         return true;
-    if (kind.rfind("rr:", 0) == 0) {
-        const std::string n = kind.substr(3);
-        if (n.empty())
-            return false;
-        for (char c : n)
-            if (c < '0' || c > '9')
-                return false;
-        return true;
-    }
-    return false;
+    int stride = 0;
+    return kind.rfind("rr:", 0) == 0 &&
+           parseStride(kind.substr(3), &stride);
 }
 
 /** Parse the key=value tail of an `open` line into `sc`. */
@@ -69,7 +62,8 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
         } else if (key == "alloc") {
             if (!validAllocKind(val)) {
                 *err = "unknown alloc kind '" + val +
-                       "' (greedy | random | rr:<stride>)";
+                       "' (greedy | random | rr:<stride>, stride in [1, " +
+                       std::to_string(INT_MAX) + "])";
                 return false;
             }
             sc.alloc = val;

@@ -63,6 +63,13 @@ class BodyReader
         return line;
     }
 
+    /** True when the next line is "<key> ..."; consumes nothing. */
+    bool
+    nextIs(const std::string &key) const
+    {
+        return ok_ && body_.compare(pos_, key.size() + 1, key + " ") == 0;
+    }
+
     /** Raw block of exactly n bytes followed by a newline. */
     std::string
     rawBlock(std::size_t n)
@@ -178,6 +185,8 @@ encodeSnapshot(const DaemonSnapshot &snap)
         w.line("alloc ", c.alloc);
         w.line("seed ", c.seed);
         w.line("cachesess ", c.cache ? 1 : 0);
+        if (c.threads > 0)
+            w.line("threads ", c.threads);
         w.line("period ", s.period);
         w.line("tasks ", s.tasks.size());
         for (const SnapshotTask &t : s.tasks)
@@ -236,6 +245,17 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
         s.cfg.seed = toU64(r, expectKey(r, "seed"));
         s.cfg.cache =
             toNumber(r, expectKey(r, "cachesess")) != 0.0;
+        // Optional: snapshots of sessions without a thread budget,
+        // and those written before budgets were kept, omit it.
+        if (r.nextIs("threads")) {
+            const double t = toNumber(r, expectKey(r, "threads"));
+            if (!r.ok() || t < 1.0 || t > 1e6 ||
+                t != static_cast<double>(static_cast<std::size_t>(t))) {
+                r.fail("implausible thread budget");
+                return bail();
+            }
+            s.cfg.threads = static_cast<std::size_t>(t);
+        }
         s.period = toNumber(r, expectKey(r, "period"));
         const double nTasks = toNumber(r, expectKey(r, "tasks"));
         if (!r.ok() || nTasks < 0 || nTasks > 1e6) {

@@ -16,6 +16,7 @@
 #include <limits>
 
 #include "metrics/metrics.hh"
+#include "solver/factor.hh"
 #include "util/logging.hh"
 
 namespace srsim {
@@ -250,68 +251,14 @@ class Rev
     }
 
     /**
-     * Factorize the current basis: B^-1 by Gauss-Jordan with partial
-     * pivoting, then x_B = B^-1 b. @return false on a (numerically)
-     * singular basis.
+     * Factorize the current basis: B^-1 and x_B = B^-1 b (see
+     * factor.hh). @return false on a (numerically) singular basis.
      */
     bool
     factorize()
     {
-        // aug = [B | I] stored row-major, eliminated in place.
-        const std::size_t w = 2 * m_;
-        std::vector<double> aug(m_ * w, 0.0);
-        for (std::size_t r = 0; r < m_; ++r)
-            aug[r * w + m_ + r] = 1.0;
-        for (std::size_t k = 0; k < m_; ++k)
-            for (const auto &[r, v] : sf_.cols[basis_[k]])
-                aug[r * w + k] = v;
-
-        double scale = 0.0;
-        for (std::size_t i = 0; i < m_ * m_; ++i)
-            scale = std::max(scale,
-                             std::abs(aug[(i / m_) * w + i % m_]));
-        const double tiny = 1e-12 * std::max(1.0, scale);
-
-        for (std::size_t k = 0; k < m_; ++k) {
-            std::size_t piv = k;
-            for (std::size_t r = k + 1; r < m_; ++r)
-                if (std::abs(aug[r * w + k]) >
-                    std::abs(aug[piv * w + k]))
-                    piv = r;
-            const double pv = aug[piv * w + k];
-            if (!std::isfinite(pv) || std::abs(pv) <= tiny)
-                return false;
-            if (piv != k)
-                for (std::size_t c = 0; c < w; ++c)
-                    std::swap(aug[k * w + c], aug[piv * w + c]);
-            const double inv = 1.0 / pv;
-            for (std::size_t c = 0; c < w; ++c)
-                aug[k * w + c] *= inv;
-            for (std::size_t r = 0; r < m_; ++r) {
-                if (r == k)
-                    continue;
-                const double f = aug[r * w + k];
-                if (f == 0.0)
-                    continue;
-                for (std::size_t c = 0; c < w; ++c)
-                    aug[r * w + c] -= f * aug[k * w + c];
-            }
-        }
-        binv_.assign(m_ * m_, 0.0);
-        for (std::size_t i = 0; i < m_; ++i)
-            for (std::size_t k = 0; k < m_; ++k)
-                binv_[k * m_ + i] = aug[i * w + m_ + k];
-
-        xB_.assign(m_, 0.0);
-        for (std::size_t i = 0; i < m_; ++i) {
-            double s = 0.0;
-            for (std::size_t k = 0; k < m_; ++k)
-                s += binv_[k * m_ + i] * sf_.b[k];
-            xB_[i] = s;
-            if (!std::isfinite(s))
-                return false;
-        }
-        return true;
+        return detail::factorizeBasis(sf_.cols, basis_, sf_.b, binv_,
+                                      xB_);
     }
 
     /** w = B^-1 a_col for a standard-form column. */
@@ -324,19 +271,24 @@ class Rev
                 w[i] += v * binv_[r * m_ + i];
     }
 
-    /** y = c_B^T B^-1 for the given phase cost vector. */
+    /**
+     * y = c_B^T B^-1 for the given phase cost vector, summed over
+     * the basic rows with a nonzero cost in ascending row order.
+     */
     void
     btran(const std::vector<double> &cost,
           std::vector<double> &y) const
     {
+        std::vector<std::size_t> costRows;
+        for (std::size_t i = 0; i < m_; ++i)
+            if (cost[basis_[i]] != 0.0)
+                costRows.push_back(i);
         y.assign(m_, 0.0);
         for (std::size_t k = 0; k < m_; ++k) {
+            const double *col = &binv_[k * m_];
             double s = 0.0;
-            for (std::size_t i = 0; i < m_; ++i) {
-                const double cb = cost[basis_[i]];
-                if (cb != 0.0)
-                    s += cb * binv_[k * m_ + i];
-            }
+            for (std::size_t i : costRows)
+                s += cost[basis_[i]] * col[i];
             y[k] = s;
         }
     }

@@ -10,6 +10,7 @@
 #ifndef SRSIM_UTIL_PARSE_HH_
 #define SRSIM_UTIL_PARSE_HH_
 
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -27,6 +28,30 @@ parseFinite(const std::string &s, double *out)
     if (end != s.c_str() + s.size() || !std::isfinite(v))
         return false;
     *out = v;
+    return true;
+}
+
+/**
+ * Parse all of `s` as a round-robin stride (the N of `rr:N`): decimal
+ * digits only, value in [1, INT_MAX]. "0", "-3", "+5", "abc" and
+ * "99999999999" are rejected. @return false when `s` is not one.
+ */
+inline bool
+parseStride(const std::string &s, int *out)
+{
+    if (s.empty())
+        return false;
+    long long v = 0;
+    for (char c : s) {
+        if (c < '0' || c > '9')
+            return false;
+        v = v * 10 + (c - '0');
+        if (v > INT_MAX)
+            return false;
+    }
+    if (v < 1)
+        return false;
+    *out = static_cast<int>(v);
     return true;
 }
 

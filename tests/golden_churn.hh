@@ -69,9 +69,13 @@ churnCases()
     return cases;
 }
 
-/** A fresh service on the fig10 figure configuration. */
+/**
+ * A fresh service on the fig10 figure configuration. With
+ * `scheduleCache` off, a request that returns to an earlier state
+ * re-solves instead of reusing that state's schedule.
+ */
 inline std::unique_ptr<online::OnlineScheduler>
-makeChurnService()
+makeChurnService(bool scheduleCache = true)
 {
     const DvbParams dvb;
     TaskFlowGraph g = buildDvbTfg(dvb);
@@ -82,6 +86,8 @@ makeChurnService()
     const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
     online::OnlineSchedulerConfig cfg;
     cfg.compiler.inputPeriod = 2.4 * tm.tauC(g);
+    if (!scheduleCache)
+        cfg.cacheCapacity = 0;
     return std::make_unique<online::OnlineScheduler>(
         std::move(g), std::move(topo), alloc, tm, cfg);
 }
@@ -103,10 +109,10 @@ struct ChurnRun
  * accepted (the table pins success paths); FatalError otherwise.
  */
 inline ChurnRun
-runChurnCase(const ChurnCase &cc)
+runChurnCase(const ChurnCase &cc, bool scheduleCache = true)
 {
     ChurnRun run;
-    const auto svc = makeChurnService();
+    const auto svc = makeChurnService(scheduleCache);
     run.start = svc->start();
     if (!run.start.accepted)
         fatal("churn case '", cc.name,

@@ -23,6 +23,7 @@
 
 #include "golden_churn.hh"
 #include "metrics/metrics.hh"
+#include "solver/lp.hh"
 
 namespace srsim {
 namespace {
@@ -176,6 +177,49 @@ TEST(OnlineAdmission, Deterministic)
                   b.results[i].subsetsResolved);
         EXPECT_EQ(a.results[i].subsetsCopied,
                   b.results[i].subsetsCopied);
+    }
+}
+
+/**
+ * Byte-identical schedules do not show a warm re-solve that took a
+ * different pivot path to the same vertex, so each churn scenario's
+ * warm-start attempts, hits and total pivots are pinned too. With
+ * the schedule cache on, the scenarios reach no warm start: the
+ * opening compile stores no basis, so a first admit solves cold,
+ * and every return to an earlier state is a cache hit. With it off,
+ * the readmit re-solves its subsets from the bases the first admit
+ * stored.
+ */
+TEST(OnlineAdmission, WarmStartCountsPinned)
+{
+    struct Pin
+    {
+        const char *name;
+        bool scheduleCache;
+        std::uint64_t attempts, hits, pivots;
+    };
+    const Pin pins[] = {
+        {"churn-admit", true, 0, 0, 446},
+        {"churn-remove", true, 0, 0, 446},
+        {"churn-readmit", true, 0, 0, 446},
+        {"churn-batch5", true, 0, 0, 650},
+        {"churn-admit", false, 0, 0, 446},
+        {"churn-remove", false, 0, 0, 446},
+        {"churn-readmit", false, 12, 12, 446},
+        {"churn-batch5", false, 0, 0, 650},
+    };
+    for (const Pin &pin : pins) {
+        const lp::SolverStats before = lp::solverStats();
+        (void)golden::runChurnCase(churnCase(pin.name),
+                                   pin.scheduleCache);
+        const lp::SolverStats after = lp::solverStats();
+        EXPECT_EQ(after.warmAttempts - before.warmAttempts,
+                  pin.attempts)
+            << pin.name << " cache " << pin.scheduleCache;
+        EXPECT_EQ(after.warmHits - before.warmHits, pin.hits)
+            << pin.name << " cache " << pin.scheduleCache;
+        EXPECT_EQ(after.pivots - before.pivots, pin.pivots)
+            << pin.name << " cache " << pin.scheduleCache;
     }
 }
 

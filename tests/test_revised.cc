@@ -14,6 +14,10 @@
  *    deterministic cold tableau (bit-identical values) whenever the
  *    basis is stale, foreign, or the instance turned infeasible.
  *
+ * The basis factorization (solver/factor.hh) is held bit for bit
+ * against the dense [B | I] Gauss-Jordan it replaced, kept here as
+ * the oracle.
+ *
  * Plus the bookkeeping the bench and service summaries rely on:
  * cumulative Solution::pivots across phases and branch-and-bound
  * nodes, SolverStats warm-start accounting, and the single-working-
@@ -21,12 +25,16 @@
  */
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "solver/factor.hh"
 #include "solver/lp.hh"
 #include "solver/revised.hh"
 #include "util/rng.hh"
@@ -499,6 +507,293 @@ TEST(RevisedDiff, OracleSeesNoDisagreements)
     const lp::SolverDiffStats ds = lp::solverDiffStats();
     EXPECT_GT(ds.solves, 0u);
     EXPECT_EQ(ds.disagreements, 0u) << ds.firstReport;
+}
+
+using lp::detail::SparseColumn;
+
+/**
+ * The dense factorization the revised simplex used before its sparse
+ * one: Gauss-Jordan with partial pivoting over a row-major [B | I],
+ * then x_B = B^-1 b. Kept verbatim as the oracle.
+ */
+bool
+denseFactorize(const std::vector<SparseColumn> &cols,
+               const std::vector<std::size_t> &basis,
+               const std::vector<double> &b, std::vector<double> &binv,
+               std::vector<double> &xB)
+{
+    const std::size_t m_ = basis.size();
+    const std::size_t w = 2 * m_;
+    std::vector<double> aug(m_ * w, 0.0);
+    for (std::size_t r = 0; r < m_; ++r)
+        aug[r * w + m_ + r] = 1.0;
+    for (std::size_t k = 0; k < m_; ++k)
+        for (const auto &[r, v] : cols[basis[k]])
+            aug[r * w + k] = v;
+
+    double scale = 0.0;
+    for (std::size_t i = 0; i < m_ * m_; ++i)
+        scale = std::max(scale, std::abs(aug[(i / m_) * w + i % m_]));
+    const double tiny = 1e-12 * std::max(1.0, scale);
+
+    for (std::size_t k = 0; k < m_; ++k) {
+        std::size_t piv = k;
+        for (std::size_t r = k + 1; r < m_; ++r)
+            if (std::abs(aug[r * w + k]) > std::abs(aug[piv * w + k]))
+                piv = r;
+        const double pv = aug[piv * w + k];
+        if (!std::isfinite(pv) || std::abs(pv) <= tiny)
+            return false;
+        if (piv != k)
+            for (std::size_t c = 0; c < w; ++c)
+                std::swap(aug[k * w + c], aug[piv * w + c]);
+        const double inv = 1.0 / pv;
+        for (std::size_t c = 0; c < w; ++c)
+            aug[k * w + c] *= inv;
+        for (std::size_t r = 0; r < m_; ++r) {
+            if (r == k)
+                continue;
+            const double f = aug[r * w + k];
+            if (f == 0.0)
+                continue;
+            for (std::size_t c = 0; c < w; ++c)
+                aug[r * w + c] -= f * aug[k * w + c];
+        }
+    }
+    binv.assign(m_ * m_, 0.0);
+    for (std::size_t i = 0; i < m_; ++i)
+        for (std::size_t k = 0; k < m_; ++k)
+            binv[k * m_ + i] = aug[i * w + m_ + k];
+
+    xB.assign(m_, 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+        double s = 0.0;
+        for (std::size_t k = 0; k < m_; ++k)
+            s += binv[k * m_ + i] * b[k];
+        xB[i] = s;
+        if (!std::isfinite(s))
+            return false;
+    }
+    return true;
+}
+
+/** Equal bits, except that +0 and -0 count as equal. */
+bool
+sameBits(double a, double b)
+{
+    if (a == 0.0 && b == 0.0)
+        return true;
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** A basis: B's k-th column is cols[basis[k]]; b is the RHS. */
+struct BasisCase
+{
+    std::vector<SparseColumn> cols;
+    std::vector<std::size_t> basis;
+    std::vector<double> b;
+};
+
+/**
+ * Sparse and dense factorizations agree: same verdict and, on
+ * success, B^-1 and x_B equal bit for bit up to the sign of zeros.
+ * @return the shared verdict
+ */
+bool
+expectSameFactorization(const BasisCase &bc, const std::string &what)
+{
+    std::vector<double> dBinv, dXb, sBinv, sXb;
+    const bool dense =
+        denseFactorize(bc.cols, bc.basis, bc.b, dBinv, dXb);
+    const bool sparse = lp::detail::factorizeBasis(bc.cols, bc.basis,
+                                                   bc.b, sBinv, sXb);
+    EXPECT_EQ(dense, sparse) << what;
+    if (!dense || !sparse)
+        return false;
+    EXPECT_EQ(dBinv.size(), sBinv.size()) << what;
+    EXPECT_EQ(dXb.size(), sXb.size()) << what;
+    std::size_t binvDiffs = 0, xbDiffs = 0;
+    for (std::size_t i = 0; i < dBinv.size() && i < sBinv.size(); ++i)
+        binvDiffs += !sameBits(dBinv[i], sBinv[i]);
+    for (std::size_t i = 0; i < dXb.size() && i < sXb.size(); ++i)
+        xbDiffs += !sameBits(dXb[i], sXb[i]);
+    EXPECT_EQ(binvDiffs, 0u) << what << ": B^-1 entries differ";
+    EXPECT_EQ(xbDiffs, 0u) << what << ": x_B entries differ";
+    return true;
+}
+
+/**
+ * A basis shaped like the Sec. 5.2 allocation LP's: 10-60
+ * structural columns of 1-3 nonzeros drawn from a few magnitudes
+ * (so pivots tie), the remaining rows covered by unit slack or
+ * artificial columns, in shuffled basis order.
+ */
+BasisCase
+allocationShapedBasis(Rng &rng, std::size_t m)
+{
+    const double mags[] = {1.0, 2.0, 0.5, 3.0};
+    const auto coeff = [&]() {
+        const double v = rng.chance(0.7) ? mags[rng.index(4)]
+                                         : rng.uniformReal(0.1, 4.0);
+        return rng.chance(0.5) ? v : -v;
+    };
+    BasisCase bc;
+    std::vector<std::size_t> rows(m);
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    rng.shuffle(rows);
+    const std::size_t nStruct = std::min(
+        m, static_cast<std::size_t>(rng.uniformInt(10, 60)));
+    for (std::size_t j = 0; j < nStruct; ++j) {
+        std::vector<std::size_t> at = {rows[j]};
+        const int extra = rng.uniformInt(0, 2);
+        for (int e = 0; e < extra; ++e)
+            at.push_back(rng.index(m));
+        std::sort(at.begin(), at.end());
+        at.erase(std::unique(at.begin(), at.end()), at.end());
+        SparseColumn col;
+        for (std::size_t r : at)
+            col.emplace_back(r, coeff());
+        bc.basis.push_back(bc.cols.size());
+        bc.cols.push_back(std::move(col));
+    }
+    for (std::size_t j = nStruct; j < m; ++j) {
+        bc.basis.push_back(bc.cols.size());
+        bc.cols.push_back({{rows[j], rng.chance(0.5) ? 1.0 : -1.0}});
+    }
+    rng.shuffle(bc.basis);
+    for (std::size_t r = 0; r < m; ++r)
+        bc.b.push_back(rng.chance(0.2) ? 0.0
+                                       : rng.uniformReal(0.0, 100.0));
+    return bc;
+}
+
+TEST(RevisedFactorize, AllocationShapedBasesMatchDenseOracle)
+{
+    Rng rng(2024);
+    std::size_t factorized = 0;
+    for (int c = 0; c < 48; ++c) {
+        const std::size_t m =
+            c < 8 ? static_cast<std::size_t>(c)
+                  : static_cast<std::size_t>(rng.uniformInt(8, 500));
+        const BasisCase bc = allocationShapedBasis(rng, m);
+        factorized += expectSameFactorization(
+            bc, "case " + std::to_string(c) + " (m = " +
+                    std::to_string(m) + ")");
+    }
+    // Most random bases are regular; the check must not go vacuous.
+    EXPECT_GT(factorized, 24u);
+}
+
+TEST(RevisedFactorize, DenseRandomBasesMatchDenseOracle)
+{
+    // Small bases with ~40% fill: long pivot searches, many row
+    // swaps and heavy fill-in.
+    Rng rng(77);
+    const double mags[] = {1.0, 2.0, 0.5};
+    std::size_t factorized = 0;
+    for (int c = 0; c < 60; ++c) {
+        const std::size_t m =
+            static_cast<std::size_t>(rng.uniformInt(2, 40));
+        BasisCase bc;
+        for (std::size_t k = 0; k < m; ++k) {
+            SparseColumn col;
+            for (std::size_t r = 0; r < m; ++r) {
+                if (!rng.chance(0.4))
+                    continue;
+                const double v = rng.chance(0.5)
+                                     ? mags[rng.index(3)]
+                                     : rng.uniformReal(-5.0, 5.0);
+                col.emplace_back(r, rng.chance(0.5) ? v : -v);
+            }
+            bc.cols.push_back(std::move(col));
+            bc.basis.push_back(k);
+            bc.b.push_back(rng.uniformReal(-10.0, 10.0));
+        }
+        factorized += expectSameFactorization(
+            bc, "case " + std::to_string(c) + " (m = " +
+                    std::to_string(m) + ")");
+    }
+    EXPECT_GT(factorized, 30u);
+}
+
+TEST(RevisedFactorize, EqualMagnitudePivotTies)
+{
+    // Column 0 holds -2, 2, 2, -2: the pivot is the lowest row among
+    // the ties, and the swaps it causes reorder B^-1's rows.
+    BasisCase bc;
+    bc.cols = {{{0, -2.0}, {1, 2.0}, {2, 2.0}, {3, -2.0}},
+               {{1, 1.0}, {2, -1.0}},
+               {{0, 1.0}, {2, 1.0}, {3, 1.0}},
+               {{1, 3.0}, {3, -3.0}}};
+    bc.basis = {0, 1, 2, 3};
+    bc.b = {1.0, 2.0, 3.0, 4.0};
+    EXPECT_TRUE(expectSameFactorization(bc, "ties at row 0"));
+    // The largest magnitude is below row 0 and tied twice.
+    bc.cols[0] = {{0, 1.0}, {1, -4.0}, {2, 4.0}, {3, 4.0}};
+    EXPECT_TRUE(expectSameFactorization(bc, "ties below row 0"));
+    // Every basis order of the same columns.
+    std::sort(bc.basis.begin(), bc.basis.end());
+    do {
+        expectSameFactorization(bc, "permuted basis");
+    } while (std::next_permutation(bc.basis.begin(), bc.basis.end()));
+}
+
+TEST(RevisedFactorize, SingularAndTinyPivotsFail)
+{
+    BasisCase dup;
+    dup.cols = {{{0, 1.0}, {1, 2.0}}, {{0, 1.0}, {1, 2.0}}};
+    dup.basis = {0, 1};
+    dup.b = {1.0, 1.0};
+    EXPECT_FALSE(expectSameFactorization(dup, "repeated column"));
+
+    BasisCase empty = dup;
+    empty.cols[1] = {};
+    EXPECT_FALSE(expectSameFactorization(empty, "empty column"));
+
+    BasisCase zero = dup;
+    zero.cols[1] = {{0, 0.0}, {1, 0.0}}; // explicit zeros
+    EXPECT_FALSE(expectSameFactorization(zero, "stored zeros"));
+
+    // tiny = 1e-12 * max(1, max|B|) = 1e-12 here: a pivot equal to
+    // it fails, one just above it factorizes.
+    BasisCase atTiny;
+    atTiny.cols = {{{0, 1.0}}, {{1, 1e-12}}};
+    atTiny.basis = {0, 1};
+    atTiny.b = {1.0, 1.0};
+    EXPECT_FALSE(expectSameFactorization(atTiny, "pivot == tiny"));
+    atTiny.cols[1] = {{1, 1.5e-12}};
+    EXPECT_TRUE(expectSameFactorization(atTiny, "pivot > tiny"));
+    // The threshold scales with the largest entry of B.
+    atTiny.cols[0] = {{0, 1e4}};
+    EXPECT_FALSE(expectSameFactorization(atTiny, "scaled tiny"));
+
+    // Cancellation leaves a zero pivot in column 1.
+    BasisCase cancel;
+    cancel.cols = {{{0, 1.0}, {1, 3.0}}, {{0, 2.0}, {1, 6.0}}};
+    cancel.basis = {0, 1};
+    cancel.b = {1.0, 1.0};
+    EXPECT_FALSE(expectSameFactorization(cancel, "cancelled pivot"));
+
+    // Non-finite coefficients never factorize.
+    BasisCase nan = cancel;
+    nan.cols[0] = {{0, 1.0}, {1, std::nan("")}};
+    EXPECT_FALSE(expectSameFactorization(nan, "NaN multiplier"));
+    BasisCase inf = cancel;
+    inf.cols[1] = {{0, 2.0}, {1, HUGE_VAL}};
+    EXPECT_FALSE(expectSameFactorization(inf, "infinite entry"));
+}
+
+TEST(RevisedFactorize, OverflowingXbFails)
+{
+    BasisCase bc;
+    bc.cols = {{{0, 0.5}}, {{0, 1.0}, {1, 1.0}}};
+    bc.basis = {0, 1};
+    bc.b = {DBL_MAX, 1.0};
+    EXPECT_FALSE(expectSameFactorization(bc, "x_B = 2 * DBL_MAX"));
+    bc.b = {1.0, HUGE_VAL};
+    EXPECT_FALSE(expectSameFactorization(bc, "infinite rhs"));
+    bc.b = {DBL_MAX / 4.0, 1.0};
+    EXPECT_TRUE(expectSameFactorization(bc, "x_B just finite"));
 }
 
 } // namespace

@@ -191,6 +191,11 @@ TEST(ServerProtocol, RejectsMalformedLines)
         "open a topo=cube:3 period=nan tfg=dvb\n", // non-finite
         "open a topo=cube:3 period=120 tfg=dvb bw=nan\n",
         "open a topo=cube:3 period=inf tfg=dvb\n",
+        // Round-robin strides outside [1, INT_MAX].
+        "open a topo=cube:3 period=120 tfg=dvb alloc=rr:0\n",
+        "open a topo=cube:3 period=120 tfg=dvb alloc=rr:-3\n",
+        "open a topo=cube:3 period=120 tfg=dvb alloc=rr:abc\n",
+        "open a topo=cube:3 period=120 tfg=dvb alloc=rr:99999999999\n",
         "open open topo=cube:3 period=1 tfg=dvb\n", // reserved name
         "a admit x0 probe verify 256\n"
         "close a extra\n",
@@ -420,6 +425,33 @@ TEST(ServerSnapshot, CodecRoundTrips)
               snap.cache[0].scheduleText);
     EXPECT_EQ(back.cache[0].numSubsets, 9u);
     EXPECT_EQ(back.cache[0].peakUtilization, 0.25);
+}
+
+TEST(ServerSnapshot, ThreadBudgetRoundTripsAndIsOptional)
+{
+    server::DaemonSnapshot snap = sampleSnapshot();
+    snap.sessions[0].cfg.threads = 3;
+    server::DaemonSnapshot back;
+    std::string err;
+    ASSERT_TRUE(server::decodeSnapshot(server::encodeSnapshot(snap),
+                                       &back, &err))
+        << err;
+    ASSERT_EQ(back.sessions.size(), 1u);
+    EXPECT_EQ(back.sessions[0].cfg.threads, 3u);
+
+    // A session without a budget writes no threads line, which is
+    // also how snapshots from before budgets were kept look.
+    snap.sessions[0].cfg.threads = 0;
+    const std::string body = server::encodeSnapshot(snap);
+    EXPECT_EQ(body.find("\nthreads "), std::string::npos);
+    ASSERT_TRUE(server::decodeSnapshot(body, &back, &err)) << err;
+    EXPECT_EQ(back.sessions[0].cfg.threads, 0u);
+    EXPECT_EQ(back.sessions[0].period, 123.5);
+
+    std::string zero = body;
+    zero.insert(zero.find("\nperiod ") + 1, "threads 0\n");
+    EXPECT_FALSE(server::decodeSnapshot(zero, &back, &err));
+    EXPECT_NE(err.find("thread budget"), std::string::npos) << err;
 }
 
 TEST(ServerSnapshot, WideSeedsSurviveTheCodec)
@@ -941,6 +973,78 @@ TEST(ServerDaemon, RejectedOpenLeavesOthersServingAndIsNotJournaled)
     ASSERT_EQ(wr.records.size(), 3u);
     for (const server::WalRecord &rec : wr.records)
         EXPECT_EQ(rec.op.session, "a");
+}
+
+TEST(ServerDaemon, RejectedStrideOpenLeavesOthersServing)
+{
+    const std::string dir = scratchDir("rejected-stride");
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        cfg.workers = 2;
+        SchedulingDaemon d(cfg);
+        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
+
+        // Opens that bypass the protocol parser (API callers, WAL
+        // replay) must still refuse a bad stride, for that open
+        // only: rr:0 used to trip the round-robin assertion and
+        // abort the daemon.
+        for (const char *alloc : {"rr:0", "rr:99999999999"}) {
+            SessionConfig bad = figSession("bad");
+            bad.alloc = alloc;
+            const DaemonResponse r = d.open(bad);
+            EXPECT_EQ(r.outcome, DaemonOutcome::InvalidConfig)
+                << alloc;
+            EXPECT_NE(r.detail.find("invalid input"),
+                      std::string::npos)
+                << r.detail;
+        }
+
+        online::Request admit;
+        admit.kind = online::RequestKind::AdmitMessage;
+        admit.admits.push_back({"x0", "probe", "verify", 256.0});
+        ASSERT_TRUE(d.submit("a", admit).get().result.accepted);
+        EXPECT_EQ(d.sessionNames(), std::vector<std::string>{"a"});
+        d.shutdown();
+    }
+    const server::WalReadResult wr =
+        server::readWal(dir + "/wal.jsonl");
+    ASSERT_TRUE(wr.ok);
+    ASSERT_EQ(wr.records.size(), 2u);
+    for (const server::WalRecord &rec : wr.records)
+        EXPECT_EQ(rec.op.session, "a");
+}
+
+/**
+ * A session's threads= budget survives a snapshot: recovered from
+ * the image alone (no WAL replay), it runs on its own pool again.
+ */
+TEST(ServerDaemon, SnapshotKeepsSessionThreadBudget)
+{
+    const std::string dir = scratchDir("snapshot-threads");
+    {
+        DaemonConfig cfg;
+        cfg.stateDir = dir;
+        cfg.snapshotEvery = 1;
+        SchedulingDaemon d(cfg);
+        SessionConfig sc = figSession("a");
+        sc.threads = 2;
+        ASSERT_TRUE(d.open(sc).result.accepted);
+        EXPECT_EQ(d.sessionPoolSize("a"), 2u);
+        online::Request admit;
+        admit.kind = online::RequestKind::AdmitMessage;
+        admit.admits.push_back({"x0", "probe", "verify", 256.0});
+        ASSERT_TRUE(d.submit("a", admit).get().result.accepted);
+        d.shutdown();
+        EXPECT_GT(d.snapshotsWritten(), 0u);
+    }
+    DaemonConfig cfg;
+    cfg.stateDir = dir;
+    SchedulingDaemon d2(cfg);
+    EXPECT_FALSE(d2.recovery().snapshotPath.empty());
+    EXPECT_EQ(d2.recovery().replayed, 0u);
+    EXPECT_EQ(d2.sessionNames(), std::vector<std::string>{"a"});
+    EXPECT_EQ(d2.sessionPoolSize("a"), 2u);
 }
 
 TEST(ServerDaemon, UnsyncedTailIsLostOnCrash)

@@ -310,9 +310,13 @@ makeAllocation(const Options &opts, const TaskFlowGraph &g,
         return alloc::greedy(g, topo);
     if (kind == "random")
         return alloc::random(g, topo, rng);
-    if (kind.rfind("rr:", 0) == 0)
-        return alloc::roundRobin(g, topo,
-                                 std::stoi(kind.substr(3)));
+    if (kind.rfind("rr:", 0) == 0) {
+        int stride = 0;
+        if (!parseStride(kind.substr(3), &stride))
+            fatal("invalid input: --alloc rr:<stride> needs an integer "
+                  "stride in [1, ", INT_MAX, "], got '", kind, "'");
+        return alloc::roundRobin(g, topo, stride);
+    }
     if (kind == "coupled") {
         const TaskAllocation seed = alloc::greedy(g, topo);
         CoupledAllocationResult coupled = coupleAllocationWithPaths(
@@ -321,7 +325,7 @@ makeAllocation(const Options &opts, const TaskFlowGraph &g,
             fatal("coupled allocation failed: ", coupled.error);
         return std::move(coupled.allocation);
     }
-    fatal("unknown --alloc kind '", kind, "'");
+    fatal("invalid input: unknown --alloc kind '", kind, "'");
 }
 
 int
