@@ -112,7 +112,11 @@ LinkLoadState::LinkLoadState(const UtilizationAnalyzer &ua,
     for (std::size_t l = 0; l < nl; ++l) {
         tree_[leaves_ + l] = l;
         refresh(l, true, true);
+        rekey(l);
     }
+    // One bottom-up pass: every node is the winner of its children.
+    for (std::size_t n = leaves_ - 1; n >= 1; --n)
+        tree_[n] = winner(n);
 }
 
 void
@@ -149,6 +153,7 @@ LinkLoadState::leave(std::size_t i, std::size_t l)
         }
     }
     refresh(l, flipped, lost);
+    settle(l);
 }
 
 void
@@ -171,6 +176,7 @@ LinkLoadState::join(std::size_t i, std::size_t l)
         }
     }
     refresh(l, flipped, false);
+    settle(l);
 }
 
 void
@@ -217,11 +223,10 @@ LinkLoadState::refresh(std::size_t l, bool usedFlipped, bool spotLost)
         c.peak = s;
         c.peakIsSpot = true;
     }
-    settle(l);
 }
 
 void
-LinkLoadState::settle(std::size_t l)
+LinkLoadState::rekey(std::size_t l)
 {
     // Rule 4: the from-scratch scan visits links in the order of
     // their first message, then of their position in its route.
@@ -236,10 +241,37 @@ LinkLoadState::settle(std::size_t l)
                       static_cast<LinkId>(l)) -
             links.begin());
     }
+}
+
+void
+LinkLoadState::settle(std::size_t l)
+{
+    rekey(l);
+    // Only l's key changed, so a node whose winner stays the same
+    // link other than l hands its parent unchanged inputs: every
+    // ancestor already holds its winner.
     for (std::size_t n = (leaves_ + l) / 2; n >= 1; n /= 2) {
-        const std::size_t a = tree_[2 * n], b = tree_[2 * n + 1];
-        tree_[n] = outranks(b, a) ? b : a;
+        const std::size_t w = winner(n);
+        if (w == tree_[n] && w != l)
+            return;
+        tree_[n] = w;
     }
+}
+
+std::size_t
+LinkLoadState::winner(std::size_t n) const
+{
+    const std::size_t a = tree_[2 * n], b = tree_[2 * n + 1];
+    return outranks(b, a) ? b : a;
+}
+
+std::size_t
+LinkLoadState::staleNode() const
+{
+    for (std::size_t n = 1; n < leaves_; ++n)
+        if (tree_[n] != winner(n))
+            return n;
+    return 0;
 }
 
 bool

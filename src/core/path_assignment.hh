@@ -183,6 +183,12 @@ class LinkLoadState
         return spot_[static_cast<std::size_t>(j) * kk_ + k];
     }
 
+    /**
+     * The first tournament-tree node that does not hold the winner
+     * of its two children, or 0 when every node does (for tests).
+     */
+    std::size_t staleNode() const;
+
   private:
     /** Per-link values, re-derived whenever the link's loads change. */
     struct LinkCache
@@ -205,8 +211,15 @@ class LinkLoadState
     void join(std::size_t i, std::size_t l);
     /** Re-derive link l's cached values from its lists and counts. */
     void refresh(std::size_t l, bool usedFlipped, bool spotLost);
-    /** Re-derive l's scan-order key and replay its tree path. */
+    /** Re-derive link l's scan-order key. */
+    void rekey(std::size_t l);
+    /**
+     * Re-key l and replay its tree path, stopping at the first node
+     * whose winner is unchanged and is not l.
+     */
     void settle(std::size_t l);
+    /** The winner of tree node n's two children. */
+    std::size_t winner(std::size_t n) const;
     /** Whether link a's local peak outranks link b's. */
     bool outranks(std::size_t a, std::size_t b) const;
 

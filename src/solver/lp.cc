@@ -9,6 +9,7 @@
 
 #include "metrics/metrics.hh"
 #include "solver/revised.hh"
+#include "solver/tableau.hh"
 #include "util/logging.hh"
 #include "util/matrix.hh"
 
@@ -74,6 +75,47 @@ Problem::truncateConstraints(std::size_t n)
     constraints_.resize(n);
 }
 
+namespace detail {
+
+bool
+pivotTableau(Matrix<double> &t, std::size_t row, std::size_t col,
+             double tol, std::vector<std::size_t> &nz)
+{
+    const std::size_t m = t.rows() - 1, n = t.cols() - 1;
+    const double pv = t(row, col);
+    if (!std::isfinite(pv) || !(std::abs(pv) > tol))
+        return false;
+    const double inv = 1.0 / pv;
+    double *prow = &t(row, 0);
+    for (std::size_t c = 0; c <= n; ++c)
+        prow[c] *= inv;
+    prow[col] = 1.0;
+    nz.clear();
+    for (std::size_t c = 0; c < n; ++c)
+        if (prow[c] != 0.0)
+            nz.push_back(c);
+    nz.push_back(n);
+    for (std::size_t r = 0; r <= m; ++r) {
+        if (r == row)
+            continue;
+        double *trow = &t(r, 0);
+        const double f = trow[col];
+        if (f == 0.0)
+            continue;
+        if (std::isfinite(f)) {
+            for (std::size_t c : nz)
+                trow[c] -= f * prow[c];
+        } else { // f * (+-0) is NaN, not a zero
+            for (std::size_t c = 0; c <= n; ++c)
+                trow[c] -= f * prow[c];
+        }
+        trow[col] = 0.0;
+    }
+    return true;
+}
+
+} // namespace detail
+
 namespace {
 
 /**
@@ -119,36 +161,20 @@ class Tableau
     }
 
     /**
-     * Gauss-Jordan pivot on (row, col).
+     * Gauss-Jordan pivot on (row, col); see detail::pivotTableau.
      *
-     * The pivot element must exceed `tol` in magnitude — a tolerance
-     * the caller scales to the tableau's magnitude — or the pivot is
-     * refused and the tableau left untouched. A refused pivot is a
-     * recoverable numerical verdict, never a process abort: the
-     * solver's inputs are user data, not internal invariants.
+     * The caller scales `tol` to the tableau's magnitude. A refused
+     * pivot is a recoverable numerical verdict, never a process
+     * abort: the solver's inputs are user data, not internal
+     * invariants.
      *
      * @return true if the pivot was applied
      */
     bool
     pivot(std::size_t row, std::size_t col, double tol)
     {
-        const double pv = t_(row, col);
-        if (!std::isfinite(pv) || !(std::abs(pv) > tol))
+        if (!detail::pivotTableau(t_, row, col, tol, nz_))
             return false;
-        const double inv = 1.0 / pv;
-        for (std::size_t c = 0; c <= n_; ++c)
-            t_(row, c) *= inv;
-        t_(row, col) = 1.0;
-        for (std::size_t r = 0; r <= m_; ++r) {
-            if (r == row)
-                continue;
-            const double f = t_(r, col);
-            if (f == 0.0)
-                continue;
-            for (std::size_t c = 0; c <= n_; ++c)
-                t_(r, c) -= f * t_(row, c);
-            t_(r, col) = 0.0;
-        }
         basis_[row] = col;
         return true;
     }
@@ -171,6 +197,8 @@ class Tableau
     std::size_t n_;
     Matrix<double> t_;
     std::vector<std::size_t> basis_;
+    /** pivot()'s scratch column list. */
+    std::vector<std::size_t> nz_;
 };
 
 /**

@@ -23,8 +23,9 @@ namespace srsim {
 
 /**
  * Build a topology from a spec string.
- * Fatal on malformed specs, and ("invalid input") on fabrics with
- * more nodes than MixedRadix can address.
+ * Fatal ("invalid input") on malformed specs, on extents that are
+ * not whole digits-only tokens >= 2 (cube: >= 1), and on fabrics
+ * with more nodes than MixedRadix can address.
  */
 std::unique_ptr<Topology> makeTopology(const std::string &spec);
 

@@ -37,6 +37,7 @@ struct ChurnCase
 {
     const char *name;    ///< file stem under tests/golden/
     const char *script;  ///< request script (online/script.hh)
+    bool scheduleCache = true; ///< see makeChurnService()
 };
 
 /** The churn table (order is the regeneration order). */
@@ -65,6 +66,16 @@ churnCases()
          "admit y2 probe verify 256\n"
          "admit y3 extend filter 256\n"
          "admit y4 verify score 256\n"},
+        // Cache off, so each re-admit re-solves its subsets warm
+        // from the bases the previous admit stored; a new size moves
+        // the RHS off the stored vertex, and the warm re-solves pivot.
+        {"churn-resize",
+         "admit x0 probe verify 256\n"
+         "remove x0\n"
+         "admit x0 probe verify 448\n"
+         "remove x0\n"
+         "admit x0 probe verify 64\n",
+         false},
     };
     return cases;
 }
@@ -105,11 +116,12 @@ struct ChurnRun
 };
 
 /**
- * Run one scenario on a fresh service. Every request must be
- * accepted (the table pins success paths); FatalError otherwise.
+ * Run one scenario on a fresh service, with the schedule cache on or
+ * off. Every request must be accepted (the table pins success
+ * paths); FatalError otherwise.
  */
 inline ChurnRun
-runChurnCase(const ChurnCase &cc, bool scheduleCache = true)
+runChurnCase(const ChurnCase &cc, bool scheduleCache)
 {
     ChurnRun run;
     const auto svc = makeChurnService(scheduleCache);
@@ -139,6 +151,13 @@ runChurnCase(const ChurnCase &cc, bool scheduleCache = true)
     run.cacheHits = svc->cache().hits();
     run.cacheMisses = svc->cache().misses();
     return run;
+}
+
+/** Run one scenario as the table pins it. */
+inline ChurnRun
+runChurnCase(const ChurnCase &cc)
+{
+    return runChurnCase(cc, cc.scheduleCache);
 }
 
 } // namespace golden

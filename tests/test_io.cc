@@ -290,6 +290,23 @@ TEST(TopologyFactoryTest, RejectsBadSpecs)
     EXPECT_THROW(makeTopology("cube:0"), FatalError);
 }
 
+TEST(TopologyFactoryTest, ExtentsMustBeWholeTokens)
+{
+    // Each extent is digits only: a numeric prefix, a fraction, a
+    // sign, a blank or an empty item is invalid input, not a fabric.
+    for (const char *spec :
+         {"torus:4abc,4", "cube:3.9", "torus: 4,4", "torus:4,4,",
+          "torus:,4", "mesh:4,,4", "ghc:+4,4", "torus:4 ", "cube:-3",
+          "cube: 3", "cube:", "torus:99999999999", "hypertorus:9",
+          "torus"}) {
+        const std::string msg =
+            fatalMessage([&] { makeTopology(spec); });
+        EXPECT_EQ(msg.rfind("invalid input:", 0), 0u)
+            << spec << ": '" << msg << "'";
+    }
+    EXPECT_EQ(makeTopology("torus:04,4")->name(), "4x4 torus");
+}
+
 TEST(TopologyFactoryTest, RejectsOversizeFabricsAsInvalidInput)
 {
     // Past 2^24 nodes MixedRadix cannot address the fabric; the

@@ -26,6 +26,17 @@
 #include "solver/lp.hh"
 
 namespace srsim {
+namespace golden {
+
+/** Name a churn case in test output (its padding is not a value). */
+void
+PrintTo(const ChurnCase &cc, std::ostream *os)
+{
+    *os << cc.name;
+}
+
+} // namespace golden
+
 namespace {
 
 using online::AdmitSpec;
@@ -188,7 +199,7 @@ TEST(OnlineAdmission, Deterministic)
  * opening compile stores no basis, so a first admit solves cold,
  * and every return to an earlier state is a cache hit. With it off,
  * the readmit re-solves its subsets from the bases the first admit
- * stored.
+ * stored, and churn-resize's re-admits at new sizes pivot from them.
  */
 TEST(OnlineAdmission, WarmStartCountsPinned)
 {
@@ -207,6 +218,9 @@ TEST(OnlineAdmission, WarmStartCountsPinned)
         {"churn-remove", false, 0, 0, 446},
         {"churn-readmit", false, 12, 12, 446},
         {"churn-batch5", false, 0, 0, 650},
+        // Two re-admits warm-start 11 and 10 subsets; 1 and 3 of
+        // those warm re-solves pivot.
+        {"churn-resize", false, 21, 21, 462},
     };
     for (const Pin &pin : pins) {
         const lp::SolverStats before = lp::solverStats();

@@ -959,6 +959,16 @@ TEST(ServerDaemon, RejectedOpenLeavesOthersServingAndIsNotJournaled)
         unknown.topo = "hypertorus:9";
         EXPECT_EQ(d.open(unknown).outcome,
                   DaemonOutcome::InvalidConfig);
+        // Extents are whole tokens: these used to open a fabric.
+        for (const char *spec :
+             {"torus:4abc,4", "cube:3.9", "torus: 4,4", "torus:4,4,"}) {
+            SessionConfig junk = figSession("junk");
+            junk.topo = spec;
+            const DaemonResponse jr = d.open(junk);
+            EXPECT_EQ(jr.outcome, DaemonOutcome::InvalidConfig) << spec;
+            EXPECT_NE(jr.detail.find("invalid input"), std::string::npos)
+                << jr.detail;
+        }
 
         online::Request remove;
         remove.kind = online::RequestKind::RemoveMessage;

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "solver/lp.hh"
+#include "solver/tableau.hh"
+#include "util/matrix.hh"
 #include "util/rng.hh"
 
 namespace srsim {
@@ -340,6 +347,292 @@ TEST(LpNumericsTest, MipOnIllScaledRelaxationSurvives)
     const Solution s = lp::solveMip(p);
     ASSERT_EQ(s.status, Status::Optimal) << lp::statusName(s.status);
     EXPECT_NEAR(s.values[x] + s.values[y], 7.0, 1e-6);
+}
+
+
+// ---------------------------------------------------------------
+// The tableau pivot eliminates over the pivot row's nonzero columns
+// only. Oracle: the dense pivot it replaced, kept here verbatim.
+// ---------------------------------------------------------------
+
+bool
+densePivot(Matrix<double> &t_, std::size_t row, std::size_t col,
+           double tol)
+{
+    const std::size_t m_ = t_.rows() - 1, n_ = t_.cols() - 1;
+    const double pv = t_(row, col);
+    if (!std::isfinite(pv) || !(std::abs(pv) > tol))
+        return false;
+    const double inv = 1.0 / pv;
+    for (std::size_t c = 0; c <= n_; ++c)
+        t_(row, c) *= inv;
+    t_(row, col) = 1.0;
+    for (std::size_t r = 0; r <= m_; ++r) {
+        if (r == row)
+            continue;
+        const double f = t_(r, col);
+        if (f == 0.0)
+            continue;
+        for (std::size_t c = 0; c <= n_; ++c)
+            t_(r, c) -= f * t_(row, c);
+        t_(r, col) = 0.0;
+    }
+    return true;
+}
+
+/** Pivots both tableaus and holds the fast one to the oracle. */
+class PivotPair
+{
+  public:
+    explicit PivotPair(Matrix<double> t) : oracle_(t), fast_(std::move(t))
+    {}
+
+    const Matrix<double> &tableau() const { return fast_; }
+    std::size_t zeroSignFlips() const { return flips_; }
+    std::size_t pivots() const { return pivots_; }
+
+    /**
+     * Pivot on (row, col): both must agree on refusal; the RHS
+     * column must be bit-equal and every other cell bit-equal or a
+     * zero in both (+0 == -0).
+     */
+    ::testing::AssertionResult
+    pivot(std::size_t row, std::size_t col)
+    {
+        const bool want = densePivot(oracle_, row, col, 1e-9);
+        const bool got =
+            lp::detail::pivotTableau(fast_, row, col, 1e-9, nz_);
+        if (want != got)
+            return ::testing::AssertionFailure()
+                   << "refusal differs at (" << row << ", " << col
+                   << ")";
+        pivots_ += got;
+        const std::size_t rhs = fast_.cols() - 1;
+        for (std::size_t r = 0; r < fast_.rows(); ++r) {
+            for (std::size_t c = 0; c <= rhs; ++c) {
+                const double a = oracle_(r, c), b = fast_(r, c);
+                if (std::bit_cast<std::uint64_t>(a) ==
+                    std::bit_cast<std::uint64_t>(b))
+                    continue;
+                if (c != rhs && a == 0.0 && b == 0.0) {
+                    ++flips_;
+                    continue;
+                }
+                return ::testing::AssertionFailure()
+                       << "cell (" << r << ", " << c << ") after pivot "
+                       << pivots_ << ": dense " << a << " vs " << b;
+            }
+        }
+        return ::testing::AssertionSuccess();
+    }
+
+  private:
+    Matrix<double> oracle_;
+    Matrix<double> fast_;
+    std::vector<std::size_t> nz_;
+    std::size_t flips_ = 0;
+    std::size_t pivots_ = 0;
+};
+
+/** A nonzero column of constraint row r, or n when there is none. */
+std::size_t
+randomNonzero(const Matrix<double> &t, std::size_t r, Rng &rng,
+              bool negativeOnly)
+{
+    std::vector<std::size_t> cols;
+    for (std::size_t c = 0; c + 1 < t.cols(); ++c)
+        if (t(r, c) != 0.0 && (!negativeOnly || t(r, c) < 0.0))
+            cols.push_back(c);
+    return cols.empty() ? t.cols() - 1 : cols[rng.index(cols.size())];
+}
+
+TEST(TableauPivotOracle, RandomSparseTableausMatchDense)
+{
+    std::size_t flips = 0, pivots = 0, negative = 0;
+    for (int seed = 1; seed <= 200; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(seed));
+        const std::size_t m = static_cast<std::size_t>(
+            rng.uniformInt(1, 12));
+        const std::size_t n = static_cast<std::size_t>(
+            rng.uniformInt(2, 24));
+        Matrix<double> t(m + 1, n + 1, 0.0);
+        for (std::size_t r = 0; r <= m; ++r) {
+            for (std::size_t c = 0; c <= n; ++c) {
+                if (rng.chance(0.3))
+                    t(r, c) = rng.chance(0.5)
+                                  ? rng.uniformInt(-4, 4)
+                                  : rng.uniformReal(-5.0, 5.0);
+                else if (rng.chance(0.2))
+                    t(r, c) = -0.0;
+            }
+        }
+        PivotPair pair(std::move(t));
+        for (int step = 0; step < 40; ++step) {
+            const std::size_t r = rng.index(m);
+            const std::size_t c =
+                randomNonzero(pair.tableau(), r, rng, false);
+            if (c == n)
+                continue;
+            negative += pair.tableau()(r, c) < 0.0;
+            ASSERT_TRUE(pair.pivot(r, c)) << "seed " << seed;
+        }
+        flips += pair.zeroSignFlips();
+        pivots += pair.pivots();
+    }
+    // Not vacuous: negative pivots ran and zeros did change sign.
+    EXPECT_GT(pivots, 2000u);
+    EXPECT_GT(negative, 500u);
+    EXPECT_GT(flips, 0u);
+}
+
+/**
+ * The tableau of one interval-allocation LP (see
+ * core/interval_allocation.cc): per message h, sum_k X_hk = d_h
+ * (artificial) and X_hk <= len_k (slack); per link and interval,
+ * sum_h X_hk - cap * Z <= 0 (slack). Row m is the phase-1 objective.
+ */
+struct AllocationTableau
+{
+    Matrix<double> t;
+    std::vector<std::size_t> basis;
+    std::vector<bool> artificial;
+};
+
+AllocationTableau
+allocationTableau(Rng &rng)
+{
+    const auto draw = [&](int lo, int hi) {
+        return static_cast<std::size_t>(rng.uniformInt(lo, hi));
+    };
+    const std::size_t msgs = draw(2, 6), ivs = draw(2, 5),
+                      links = draw(2, 5);
+    // Each message is active in a run of intervals and crosses a
+    // random set of links.
+    std::vector<std::vector<std::size_t>> active(msgs);
+    std::vector<std::vector<bool>> on(msgs);
+    std::size_t nx = 0;
+    for (std::size_t h = 0; h < msgs; ++h) {
+        const std::size_t lo = draw(0, static_cast<int>(ivs) - 1);
+        const std::size_t hi =
+            draw(static_cast<int>(lo), static_cast<int>(ivs) - 1);
+        for (std::size_t k = lo; k <= hi; ++k, ++nx)
+            active[h].push_back(k);
+        for (std::size_t l = 0; l < links; ++l)
+            on[h].push_back(rng.chance(0.5));
+    }
+    // Columns: X, Z, slacks, artificials. Rows: msgs equalities, nx
+    // bounds, links*ivs capacities.
+    const std::size_t z = nx;
+    const std::size_t m = msgs + nx + links * ivs;
+    const std::size_t nslack = m - msgs;
+    const std::size_t n = nx + 1 + nslack + msgs;
+    AllocationTableau a{Matrix<double>(m + 1, n + 1, 0.0),
+                        std::vector<std::size_t>(m, 0),
+                        std::vector<bool>(n, false)};
+    std::vector<double> len(ivs);
+    for (double &v : len)
+        v = rng.uniformInt(2, 9) * 2.5;
+    std::size_t row = 0, x = 0, slack = nx + 1, art = nx + 1 + nslack;
+    for (std::size_t h = 0; h < msgs; ++h) {
+        for (std::size_t j = 0; j < active[h].size(); ++j)
+            a.t(row, x + j) = 1.0;
+        a.t(row, n) = rng.uniformInt(1, 8) * 1.25;
+        a.t(row, art) = 1.0;
+        a.artificial[art] = true;
+        a.basis[row++] = art++;
+        for (std::size_t k : active[h]) {
+            a.t(row, x++) = 1.0;
+            a.t(row, n) = len[k] - 0.5;
+            a.t(row, slack) = 1.0;
+            a.basis[row++] = slack++;
+        }
+    }
+    for (std::size_t l = 0; l < links; ++l) {
+        for (std::size_t k = 0; k < ivs; ++k) {
+            std::size_t xv = 0;
+            for (std::size_t h = 0; h < msgs; ++h) {
+                for (std::size_t kk : active[h]) {
+                    if (kk == k && on[h][l])
+                        a.t(row, xv) = 1.0;
+                    ++xv;
+                }
+            }
+            a.t(row, z) = -len[k] * rng.uniformInt(1, 2);
+            a.t(row, slack) = 1.0;
+            a.basis[row++] = slack++;
+        }
+    }
+    // Phase-1 objective: sum of artificials, priced out.
+    for (std::size_t c = 0; c < n; ++c)
+        a.t(m, c) = a.artificial[c] ? 1.0 : 0.0;
+    for (std::size_t r = 0; r < m; ++r)
+        if (a.artificial[a.basis[r]])
+            for (std::size_t c = 0; c <= n; ++c)
+                a.t(m, c) -= a.t(r, c);
+    return a;
+}
+
+TEST(TableauPivotOracle, AllocationShapedTableausMatchDense)
+{
+    std::size_t flips = 0, pivots = 0, negative = 0;
+    for (int seed = 1; seed <= 150; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(seed) * 7919);
+        AllocationTableau a = allocationTableau(rng);
+        const std::size_t m = a.t.rows() - 1, n = a.t.cols() - 1;
+        PivotPair pair(a.t);
+        for (int step = 0; step < 3 * static_cast<int>(m); ++step) {
+            const Matrix<double> &t = pair.tableau();
+            std::size_t row = m, col = n;
+            if (rng.chance(0.25)) {
+                // A negative pivot, as no simplex step would take.
+                row = rng.index(m);
+                col = randomNonzero(t, row, rng, true);
+                negative += col != n;
+            } else {
+                // Dantzig entering column, minimum-ratio row.
+                double best = -1e-9;
+                for (std::size_t c = 0; c < n; ++c)
+                    if (!a.artificial[c] && t(m, c) < best) {
+                        best = t(m, c);
+                        col = c;
+                    }
+                double ratio = std::numeric_limits<double>::infinity();
+                for (std::size_t r = 0; col != n && r < m; ++r)
+                    if (t(r, col) > 1e-9 && t(r, n) / t(r, col) < ratio) {
+                        ratio = t(r, n) / t(r, col);
+                        row = r;
+                    }
+            }
+            if (col == n || row == m)
+                continue;
+            ASSERT_TRUE(pair.pivot(row, col)) << "seed " << seed;
+        }
+        flips += pair.zeroSignFlips();
+        pivots += pair.pivots();
+    }
+    EXPECT_GT(pivots, 1000u);
+    EXPECT_GT(negative, 200u);
+    EXPECT_GT(flips, 0u);
+}
+
+TEST(TableauPivotOracle, NonFiniteMultiplierMatchesDense)
+{
+    // A non-finite multiplier turns x - f*(+-0) into NaN; the pivot
+    // must then eliminate every column, as the dense one did.
+    for (double bad : {std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        Matrix<double> t(3, 4, 0.0);
+        t(0, 0) = 2.0;
+        t(0, 3) = 4.0;
+        t(1, 0) = bad;
+        t(1, 1) = 1.0;
+        t(2, 0) = -1.0;
+        t(2, 2) = 3.0;
+        PivotPair pair(std::move(t));
+        ASSERT_TRUE(pair.pivot(0, 0)) << bad;
+        EXPECT_TRUE(std::isnan(pair.tableau()(1, 1))) << bad;
+    }
 }
 
 } // namespace
