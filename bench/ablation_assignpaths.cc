@@ -60,14 +60,15 @@ runPanel(const srsim::Topology &topo)
         }
         const double random_u = ua.analyze(rnd).peak;
 
-        AssignPathsOptions no_restart;
+        AssignPathsOptions defaults{.ctx = &setup.root};
+        AssignPathsOptions no_restart = defaults;
         no_restart.maxRestarts = 0;
         const double hill =
             assignPaths(g, topo, alloc, tb, ivs, no_restart)
                 .report.peak;
 
         const AssignPathsResult full =
-            assignPaths(g, topo, alloc, tb, ivs);
+            assignPaths(g, topo, alloc, tb, ivs, defaults);
 
         t.addRow({Table::num(tau_c / period, 4), Table::num(lsd),
                   Table::num(random_u), Table::num(hill),

@@ -45,7 +45,7 @@ feedbackPanel(const Topology &topo, double bandwidth)
               << ", B = " << bandwidth << " bytes/us\n";
     Table t({"load", "no feedback", "2 rounds", "rounds used"});
     for (Time period : loadSweepPeriods(tau_c, setup.cfg)) {
-        SrCompilerConfig base;
+        SrCompilerConfig base{.ctx = &setup.root};
         base.inputPeriod = period;
         const SrCompileResult r0 =
             compileScheduledRouting(g, topo, alloc, tm, base);
@@ -80,7 +80,7 @@ couplingPanel(const Topology &topo, double bandwidth)
              "coupled U"});
     for (Time period : loadSweepPeriods(tau_c, setup.cfg)) {
         const TaskAllocation greedy = alloc::greedy(g, topo);
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &setup.root};
         cfg.inputPeriod = period;
         cfg.feedbackRounds = 2; // same effort for both allocations
         const SrCompileResult g_res =
@@ -89,7 +89,7 @@ couplingPanel(const Topology &topo, double bandwidth)
         Rng rng(99);
         const CoupledAllocationResult coupled =
             coupleAllocationWithPaths(g, topo, tm, period, greedy,
-                                      rng);
+                                      rng, setup.root);
         const SrCompileResult c_res = compileScheduledRouting(
             g, topo, coupled.allocation, tm, cfg);
 
@@ -122,7 +122,7 @@ guardPanel(const Topology &topo, double bandwidth)
         std::vector<std::string> row{
             Table::num(tau_c / period, 4)};
         for (double guard : {0.0, 0.1, 0.5, 2.0}) {
-            SrCompilerConfig cfg;
+            SrCompilerConfig cfg{.ctx = &setup.root};
             cfg.inputPeriod = period;
             cfg.scheduling.guardTime = guard;
             cfg.feedbackRounds = 1;
@@ -165,7 +165,7 @@ virtualChannelPanel(const Topology &topo, double bandwidth)
             bool fair;
         } modes[3] = {{1, false}, {2, false}, {2, true}};
         for (int m = 0; m < 3; ++m) {
-            WormholeConfig cfg;
+            WormholeConfig cfg{.ctx = &setup.root};
             cfg.inputPeriod = period;
             cfg.virtualChannels = modes[m].vc;
             cfg.fairShare = modes[m].fair;
@@ -211,7 +211,7 @@ packetPanel(const Topology &topo, double bandwidth)
         for (double pkt : {0.0, 64.0, 256.0, 1024.0}) {
             TimingModel ptm = tm;
             ptm.packetBytes = pkt;
-            SrCompilerConfig cfg;
+            SrCompilerConfig cfg{.ctx = &setup.root};
             cfg.inputPeriod = period;
             cfg.feedbackRounds = 1;
             const SrCompileResult r =

@@ -39,7 +39,7 @@ runPanel(const srsim::Topology &topo, double bandwidth)
 
     auto status = [&](Time period, AllocationMethod am,
                       SchedulingMethod sm) -> std::string {
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &setup.root};
         cfg.inputPeriod = period;
         cfg.allocMethod = am;
         cfg.scheduling.method = sm;

@@ -51,7 +51,8 @@ run()
     tm.apSpeed = DvbParams{}.matchedApSpeed();
     tm.bandwidth = kBandwidth;
     const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
-    SrCompilerConfig cfg;
+    const engine::EngineContext root;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = kPeriodFactor * tm.tauC(g);
 
     const SrCompileResult healthy =

@@ -21,6 +21,7 @@
 #include <iostream>
 #include <string>
 
+#include "engine/context.hh"
 #include "exp/experiment.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
@@ -90,6 +91,8 @@ jsonSink(const std::string &name)
 /** Default DVB experiment setup for one fabric at one bandwidth. */
 struct FigureSetup
 {
+    /** Root engine context every sweep of the setup runs under. */
+    engine::EngineContext root;
     DvbParams dvb;
     ExperimentConfig cfg;
     /**
@@ -100,6 +103,8 @@ struct FigureSetup
      * sharing the way the paper's curves indicate).
      */
     int allocStride = 13;
+
+    FigureSetup() { cfg.sr.ctx = &root; }
 
     TimingModel
     timing(double bandwidth) const

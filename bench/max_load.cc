@@ -54,13 +54,13 @@ runPanel(const Topology &topo, double bandwidth)
 
     auto wr_ok = [&](Time period) {
         WormholeSimulator sim(g, topo, alloc, tm);
-        WormholeConfig cfg;
+        WormholeConfig cfg{.ctx = &setup.root};
         cfg.inputPeriod = period;
         const WormholeResult r = sim.run(cfg);
         return !r.deadlocked && !r.outputInconsistent(cfg.warmup);
     };
     auto sr_ok = [&](Time period) {
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &setup.root};
         cfg.inputPeriod = period;
         cfg.feedbackRounds = 1;
         return compileScheduledRouting(g, topo, alloc, tm, cfg)

@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/sr_compiler.hh"
+#include "engine/context.hh"
 #include "exp/experiment.hh"
 #include "mapping/allocation.hh"
 #include "solver/lp.hh"
@@ -26,6 +27,8 @@ using namespace srsim;
 
 struct DvbSetup
 {
+    /** Root engine context the benchmarked engine calls run under. */
+    engine::EngineContext root;
     DvbParams dp;
     TaskFlowGraph g = buildDvbTfg(dp);
     GeneralizedHypercube cube = GeneralizedHypercube::binaryCube(6);
@@ -72,7 +75,7 @@ BM_AssignPaths(benchmark::State &state)
     const TimeBounds tb =
         computeTimeBounds(s.g, s.alloc, s.tm, 2.0 * s.tm.tauC(s.g));
     const IntervalSet ivs(tb);
-    AssignPathsOptions opts;
+    AssignPathsOptions opts{.ctx = &s.root};
     opts.maxRestarts = static_cast<int>(state.range(0));
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -116,7 +119,7 @@ void
 BM_WormholeSimulation(benchmark::State &state)
 {
     DvbSetup s;
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &s.root};
     cfg.inputPeriod = s.tm.tauC(s.g);
     cfg.invocations = static_cast<int>(state.range(0));
     cfg.warmup = 5;
@@ -131,7 +134,7 @@ void
 BM_SrCompile(benchmark::State &state)
 {
     DvbSetup s;
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &s.root};
     cfg.inputPeriod =
         s.tm.tauC(s.g) * (state.range(0) / 10.0);
     for (auto _ : state) {
@@ -153,7 +156,7 @@ BM_SrCompileThreads(benchmark::State &state)
     ThreadPool::setGlobalSize(
         static_cast<std::size_t>(state.range(0)));
     DvbSetup s;
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &s.root};
     cfg.inputPeriod = 2.0 * s.tm.tauC(s.g);
     for (auto _ : state) {
         benchmark::DoNotOptimize(compileScheduledRouting(
@@ -180,7 +183,7 @@ BM_FigureSweepThreads(benchmark::State &state)
     ThreadPool::setGlobalSize(
         static_cast<std::size_t>(state.range(0)));
     DvbSetup s;
-    ExperimentConfig cfg;
+    ExperimentConfig cfg{.sr = {.ctx = &s.root}};
     cfg.invocations = 30;
     cfg.warmup = 5;
     for (auto _ : state) {

@@ -13,6 +13,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine/context.hh"
 #include "mapping/allocation.hh"
 #include "tfg/random_tfg.hh"
 #include "tfg/timing.hh"
@@ -24,6 +25,9 @@ int
 main(int argc, char **argv)
 {
     using namespace srsim;
+    // One root context: the metrics registry, tracer and thread
+    // pool every engine call below runs under.
+    const engine::EngineContext root;
     const std::uint64_t seed =
         argc > 1 ? static_cast<std::uint64_t>(std::atoll(argv[1]))
                  : 7;
@@ -58,7 +62,7 @@ main(int argc, char **argv)
         const Time period = tau_c / load;
 
         WormholeSimulator wsim(g, mesh, alloc, tm);
-        WormholeConfig wcfg;
+        WormholeConfig wcfg{.ctx = &root};
         wcfg.inputPeriod = period;
         const WormholeResult wr = wsim.run(wcfg);
         std::string wh;
@@ -69,7 +73,7 @@ main(int argc, char **argv)
         else
             wh = "consistent";
 
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &root};
         cfg.inputPeriod = period;
         cfg.assign.seed = seed;
         const SrCompileResult sr =
@@ -77,7 +81,7 @@ main(int argc, char **argv)
         std::string sch;
         if (sr.feasible) {
             const SrExecutionResult ex = executeSchedule(
-                g, alloc, tm, sr.bounds, sr.omega, 30);
+                g, alloc, tm, sr.bounds, sr.omega, 30, root);
             sch = ex.consistent(5) ? "constant" : "violated?";
         } else {
             sch = std::string("fail:") +

@@ -17,6 +17,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine/context.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "tfg/timing.hh"
@@ -27,6 +28,9 @@ int
 main(int argc, char **argv)
 {
     using namespace srsim;
+    // One root context: the metrics registry, tracer and thread
+    // pool every engine call below runs under.
+    const engine::EngineContext root;
     double load = 0.5;
     bool dot = false;
     for (int i = 1; i < argc; ++i) {
@@ -67,7 +71,7 @@ main(int argc, char **argv)
 
     // Wormhole routing at this load.
     WormholeSimulator wsim(g, cube, alloc, tm);
-    WormholeConfig wcfg;
+    WormholeConfig wcfg{.ctx = &root};
     wcfg.inputPeriod = period;
     const WormholeResult wr = wsim.run(wcfg);
     if (wr.deadlocked) {
@@ -85,7 +89,7 @@ main(int argc, char **argv)
     }
 
     // Scheduled routing at the same load.
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = period;
     const SrCompileResult sr =
         compileScheduledRouting(g, cube, alloc, tm, cfg);
@@ -96,7 +100,7 @@ main(int argc, char **argv)
         return 0;
     }
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, sr.bounds, sr.omega, 40);
+        executeSchedule(g, alloc, tm, sr.bounds, sr.omega, 40, root);
     const SeriesStats s = ex.outputIntervals(8);
     std::cout << "scheduled: output interval min/avg/max = "
               << s.min() << "/" << s.mean() << "/" << s.max()

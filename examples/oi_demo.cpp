@@ -20,6 +20,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine/context.hh"
 #include "mapping/allocation.hh"
 #include "tfg/tfg.hh"
 #include "tfg/timing.hh"
@@ -31,6 +32,9 @@ int
 main(int argc, char **argv)
 {
     using namespace srsim;
+    // One root context: the metrics registry, tracer and thread
+    // pool every engine call below runs under.
+    const engine::EngineContext root;
     const double period = argc > 1 ? std::atof(argv[1]) : 80.0;
 
     TaskFlowGraph g;
@@ -56,7 +60,7 @@ main(int argc, char **argv)
                  "each, 50 us total demand per period)\n\n";
 
     WormholeSimulator wsim(g, ring, alloc, tm);
-    WormholeConfig wcfg;
+    WormholeConfig wcfg{.ctx = &root};
     wcfg.inputPeriod = period;
     wcfg.invocations = 28;
     wcfg.warmup = 4;
@@ -85,7 +89,7 @@ main(int argc, char **argv)
                   << "\n\n";
     }
 
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = period;
     const SrCompileResult sr =
         compileScheduledRouting(g, ring, alloc, tm, cfg);
@@ -95,7 +99,7 @@ main(int argc, char **argv)
         return 1;
     }
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, sr.bounds, sr.omega, 28);
+        executeSchedule(g, alloc, tm, sr.bounds, sr.omega, 28, root);
     const SeriesStats s = ex.outputIntervals(4);
     std::cout << "scheduled routing: output interval min/avg/max = "
               << s.min() << "/" << s.mean() << "/" << s.max()

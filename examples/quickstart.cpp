@@ -11,6 +11,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine/context.hh"
 #include "mapping/allocation.hh"
 #include "tfg/tfg.hh"
 #include "tfg/timing.hh"
@@ -21,6 +22,9 @@ int
 main()
 {
     using namespace srsim;
+    // One root context: the metrics registry, tracer and thread
+    // pool every engine call below runs under.
+    const engine::EngineContext root;
 
     // 1. Describe the application as a task-flow graph.
     TaskFlowGraph g;
@@ -50,7 +54,7 @@ main()
 
     // 4. Simulate wormhole routing.
     WormholeSimulator wsim(g, cube, alloc, tm);
-    WormholeConfig wcfg;
+    WormholeConfig wcfg{.ctx = &root};
     wcfg.inputPeriod = period;
     const WormholeResult wr = wsim.run(wcfg);
     const SeriesStats wr_out = wr.outputIntervals(wcfg.warmup);
@@ -63,7 +67,7 @@ main()
               << "\n";
 
     // 5. Compile a scheduled-routing Omega at the same period.
-    SrCompilerConfig scfg;
+    SrCompilerConfig scfg{.ctx = &root};
     scfg.inputPeriod = period;
     const SrCompileResult sr =
         compileScheduledRouting(g, cube, alloc, tm, scfg);
@@ -75,7 +79,7 @@ main()
 
     // 6. Execute the schedule and confirm constant throughput.
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, sr.bounds, sr.omega, 40);
+        executeSchedule(g, alloc, tm, sr.bounds, sr.omega, 40, root);
     const SeriesStats sr_out = ex.outputIntervals(10);
     std::cout << "scheduled routing: output interval min/avg/max = "
               << sr_out.min() << "/" << sr_out.mean() << "/"

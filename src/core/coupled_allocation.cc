@@ -50,7 +50,7 @@ coupleAllocationWithPaths(const TaskFlowGraph &g,
                           const Topology &topo,
                           const TimingModel &tm, Time inputPeriod,
                           const TaskAllocation &seedAllocation,
-                          Rng &rng,
+                          Rng &rng, const engine::EngineContext &ctx,
                           const CoupledAllocationOptions &opts)
 {
     if (!seedAllocation.complete()) {
@@ -111,8 +111,11 @@ coupleAllocationWithPaths(const TaskFlowGraph &g,
     }
 
     out.allocation = best;
-    out.peakUtilization = fullScore(g, topo, tm, inputPeriod, best,
-                                    opts.scoring);
+    AssignPathsOptions scoring = opts.scoring;
+    if (scoring.ctx == nullptr)
+        scoring.ctx = &ctx;
+    out.peakUtilization =
+        fullScore(g, topo, tm, inputPeriod, best, scoring);
     return out;
 }
 

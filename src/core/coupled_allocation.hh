@@ -71,13 +71,15 @@ struct CoupledAllocationResult
  * utilization at `inputPeriod`.
  *
  * @param seedAllocation starting point (must be complete)
+ * @param ctx engine context the scoring AssignPaths runs under,
+ *        unless `opts.scoring` names its own
  */
 CoupledAllocationResult
 coupleAllocationWithPaths(const TaskFlowGraph &g,
                           const Topology &topo,
                           const TimingModel &tm, Time inputPeriod,
                           const TaskAllocation &seedAllocation,
-                          Rng &rng,
+                          Rng &rng, const engine::EngineContext &ctx,
                           const CoupledAllocationOptions &opts = {});
 
 } // namespace srsim

@@ -20,7 +20,8 @@ resolveDirtySubsets(const TimeBounds &bounds,
                     const IncrementalSolveOptions &opts)
 {
     IncrementalSolveResult res;
-    const engine::EngineContext &ectx = engine::resolve(opts.ctx);
+    const engine::EngineContext &ectx =
+        engine::require(opts.ctx, "resolveDirtySubsets");
 
     // Re-partition under the (possibly rerouted) assignment. Subsets
     // free of dirty members and derated links kept exactly their

@@ -67,9 +67,8 @@ struct IncrementalSolveOptions
     lp::BasisCache *basisCache = nullptr;
     /**
      * Engine context the re-solve runs under (tracer, metrics,
-     * thread pool, solver kind). Propagated into the scheduling
-     * options unless those name their own context. nullptr uses the
-     * process default context.
+     * thread pool). Propagated into the scheduling options unless
+     * those name their own context. Required.
      */
     const engine::EngineContext *ctx = nullptr;
 };

@@ -325,7 +325,8 @@ allocateMessageIntervals(const TimeBounds &bounds,
                          lp::BasisCache *basisCache,
                          const engine::EngineContext *ctx)
 {
-    const engine::EngineContext &ectx = engine::resolve(ctx);
+    const engine::EngineContext &ectx =
+        engine::require(ctx, "allocateMessageIntervals");
     IntervalAllocation out;
     out.allocation =
         Matrix<Time>(bounds.messages.size(), intervals.size(), 0.0);

@@ -89,21 +89,18 @@ enum class AllocationMethod { Lp, Greedy };
  *        basis back), so re-solves of unchanged-structure subsets
  *        resume in a handful of pivots. nullptr keeps every solve
  *        cold.
- * @param ctx engine context supplying the thread pool, solver kind,
- *        and metrics registry; nullptr uses the process default.
+ * @param ctx engine context supplying the thread pool and the
+ *        metrics registry. Required.
  */
 IntervalAllocation
 allocateMessageIntervals(const TimeBounds &bounds,
                          const IntervalSet &intervals,
                          const PathAssignment &pa,
                          const std::vector<MessageSubset> &subsets,
-                         AllocationMethod method =
-                             AllocationMethod::Lp,
-                         Time guardTime = 0.0,
-                         Time packetTime = 0.0,
-                         const Topology *topo = nullptr,
-                         lp::BasisCache *basisCache = nullptr,
-                         const engine::EngineContext *ctx = nullptr);
+                         AllocationMethod method, Time guardTime,
+                         Time packetTime, const Topology *topo,
+                         lp::BasisCache *basisCache,
+                         const engine::EngineContext *ctx);
 
 } // namespace srsim
 

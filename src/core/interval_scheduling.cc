@@ -416,7 +416,8 @@ scheduleIntervals(const TimeBounds &bounds,
         std::vector<std::vector<TimeWindow>> segments;
     };
     std::vector<ItemResult> results(items.size());
-    const engine::EngineContext &ectx = engine::resolve(opts.ctx);
+    const engine::EngineContext &ectx =
+        engine::require(opts.ctx, "scheduleIntervals");
     ectx.pool().parallelFor(
         items.size(), [&](std::size_t i) {
             const Item &it = items[i];

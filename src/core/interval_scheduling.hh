@@ -112,9 +112,8 @@ struct IntervalSchedulingOptions
      */
     lp::BasisCache *basisCache = nullptr;
     /**
-     * Engine context supplying the thread pool, solver kind, and
-     * metrics registry for the per-interval covering solves.
-     * nullptr uses the process default context.
+     * Engine context supplying the thread pool and metrics
+     * registry for the per-interval covering solves. Required.
      */
     const engine::EngineContext *ctx = nullptr;
 };
@@ -136,7 +135,7 @@ scheduleIntervals(const TimeBounds &bounds,
                   const PathAssignment &pa,
                   const std::vector<MessageSubset> &subsets,
                   const IntervalAllocation &alloc,
-                  const IntervalSchedulingOptions &opts = {});
+                  const IntervalSchedulingOptions &opts);
 
 } // namespace srsim
 

@@ -480,7 +480,7 @@ assignPaths(const TaskFlowGraph &g, const Topology &topo,
         static_cast<std::size_t>(opts.maxRestarts) + 1;
     const UtilizationAnalyzer ua(bounds, intervals, topo);
     std::vector<WalkResult> results(walks);
-    engine::resolve(opts.ctx).pool().parallelFor(
+    engine::require(opts.ctx, "assignPaths").pool().parallelFor(
         walks, [&](std::size_t r) {
             results[r] = improveWalk(candidates, ua, opts,
                                      deriveSeed(opts.seed, r));

@@ -261,9 +261,9 @@ struct AssignPathsOptions
     std::uint64_t seed = 12345;
     /**
      * Engine context supplying the thread pool the restart walks
-     * run on. nullptr uses the process default context. The walk
-     * outcome is thread-count independent, so the choice of pool
-     * never changes the assignment.
+     * run on. Required. The walk outcome is thread-count
+     * independent, so the choice of pool never changes the
+     * assignment.
      */
     const engine::EngineContext *ctx = nullptr;
 };
@@ -330,7 +330,7 @@ AssignPathsResult
 assignPaths(const TaskFlowGraph &g, const Topology &topo,
             const TaskAllocation &alloc, const TimeBounds &bounds,
             const IntervalSet &intervals,
-            const AssignPathsOptions &opts = {});
+            const AssignPathsOptions &opts);
 
 } // namespace srsim
 

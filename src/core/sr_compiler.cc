@@ -66,9 +66,8 @@ attemptCompile(const TaskFlowGraph &g, const Topology &topo,
                SrCompileResult &res)
 {
     const IntervalSet &ivs = *res.intervals;
-    const engine::EngineContext &ectx = engine::resolve(cfg.ctx);
-    trace::Tracer &tracer = ectx.tracer();
-    metrics::Registry &reg = ectx.metricsRegistry();
+    trace::Tracer &tracer = cfg.ctx->tracer();
+    metrics::Registry &reg = cfg.ctx->metricsRegistry();
 
     if (cfg.useAssignPaths) {
         trace::ScopedPhase phase("assign_paths", tracer, reg);
@@ -186,7 +185,8 @@ compileScheduledRouting(const TaskFlowGraph &g, const Topology &topo,
                         const SrCompilerConfig &cfg)
 {
     SrCompileResult res;
-    const engine::EngineContext &ectx = engine::resolve(cfg.ctx);
+    const engine::EngineContext &ectx =
+        engine::require(cfg.ctx, "compileScheduledRouting");
     trace::Tracer &tracer = ectx.tracer();
     metrics::Registry &mreg = ectx.metricsRegistry();
 

@@ -50,9 +50,9 @@ struct SrCompilerConfig
     Time inputPeriod = 0.0;
     /** Use AssignPaths; false = LSD-to-MSD routing-function paths. */
     bool useAssignPaths = true;
-    AssignPathsOptions assign;
+    AssignPathsOptions assign{};
     AllocationMethod allocMethod = AllocationMethod::Lp;
-    IntervalSchedulingOptions scheduling;
+    IntervalSchedulingOptions scheduling{};
     /** Run the independent verifier on success. */
     bool verify = true;
     /**
@@ -68,8 +68,7 @@ struct SrCompilerConfig
      * metrics registry for the per-stage phases, the thread pool for
      * the parallel stages, and the solver configuration for every
      * LP. Propagated into the allocation and scheduling stages
-     * unless those options name their own context. nullptr uses the
-     * process default context.
+     * unless those options name their own context. Required.
      */
     const engine::EngineContext *ctx = nullptr;
 };

@@ -34,11 +34,10 @@ SrExecutionResult
 executeSchedule(const TaskFlowGraph &g, const TaskAllocation &alloc,
                 const TimingModel &tm, const TimeBounds &bounds,
                 const GlobalSchedule &omega, int invocations,
-                const engine::EngineContext *ctx)
+                const engine::EngineContext &ctx)
 {
     SRSIM_ASSERT(invocations > 0, "need at least one invocation");
-    const engine::EngineContext &ectx = engine::resolve(ctx);
-    trace::Tracer &tracer = ectx.tracer();
+    trace::Tracer &tracer = ctx.tracer();
     const Time period = omega.period;
 
     // Frame-relative first-transmission offset and delivery offset
@@ -75,7 +74,7 @@ executeSchedule(const TaskFlowGraph &g, const TaskAllocation &alloc,
     const bool tracing = SRSIM_TRACE_ENABLED();
     metrics::Counter *premiseCtr =
         SRSIM_METRICS_ENABLED()
-            ? &ectx.metricsRegistry().counter(
+            ? &ctx.metricsRegistry().counter(
                   "sr_exec.premise_violations")
             : nullptr;
 

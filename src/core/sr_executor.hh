@@ -65,14 +65,13 @@ struct SrExecutionResult
  * Execute Omega for `invocations` periods.
  *
  * @param ctx engine context whose tracer receives the task spans and
- *        whose registry counts premise violations; nullptr uses the
- *        process default context.
+ *        whose registry counts premise violations.
  */
 SrExecutionResult
 executeSchedule(const TaskFlowGraph &g, const TaskAllocation &alloc,
                 const TimingModel &tm, const TimeBounds &bounds,
                 const GlobalSchedule &omega, int invocations,
-                const engine::EngineContext *ctx = nullptr);
+                const engine::EngineContext &ctx);
 
 } // namespace srsim
 

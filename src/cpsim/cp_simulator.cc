@@ -121,7 +121,7 @@ struct CpSimState
                const GlobalSchedule &omega_, const CpSimConfig &c)
         : g(g_), topo(topo_), alloc(alloc_), tm(tm_),
           bounds(bounds_), omega(omega_), cfg(c),
-          ectx(engine::resolve(c.ctx)), tracer(ectx.tracer())
+          ectx(engine::require(c.ctx, "simulateCps")), tracer(ectx.tracer())
     {
         const std::size_t nmi =
             bounds.messages.size() *

@@ -72,7 +72,7 @@ struct CpSimConfig
      * lostInvocations so the run distinguishes injected damage
      * from genuine schedule bugs.
      */
-    std::vector<std::pair<LinkId, Time>> linkFailures;
+    std::vector<std::pair<LinkId, Time>> linkFailures{};
     /**
      * Degraded-mode schedule to swap to (same period and message
      * count as the primary Omega). Invocations whose release is at
@@ -85,8 +85,7 @@ struct CpSimConfig
     Time repairAt = 0.0;
     /**
      * Engine context whose tracer receives the simulation events
-     * and whose registry counts cpsim.* metrics. nullptr uses the
-     * process default context.
+     * and whose registry counts cpsim.* metrics. Required.
      */
     const engine::EngineContext *ctx = nullptr;
 };
@@ -143,7 +142,7 @@ CpSimResult
 simulateCps(const TaskFlowGraph &g, const Topology &topo,
             const TaskAllocation &alloc, const TimingModel &tm,
             const TimeBounds &bounds, const GlobalSchedule &omega,
-            const CpSimConfig &cfg = {});
+            const CpSimConfig &cfg);
 
 } // namespace srsim
 

@@ -2,49 +2,42 @@
 
 #include "metrics/metrics.hh"
 #include "trace/trace.hh"
+#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace srsim {
 namespace engine {
 
+EngineContext::EngineContext()
+    : ownedRegistry_(std::make_unique<metrics::Registry>()),
+      ownedTracer_(std::make_unique<trace::Tracer>())
+{
+}
+
+EngineContext::EngineContext(const EngineContext &parent,
+                             const ChildOptions &opts)
+    : parent_(&parent),
+      ownedRegistry_(std::make_unique<metrics::Registry>(
+          &parent.metricsRegistry())),
+      baseSeed_(opts.baseSeed != 0 ? opts.baseSeed : parent.baseSeed_),
+      name_(opts.name)
+{
+    if (opts.threads > 0)
+        ownedPool_ = std::make_unique<ThreadPool>(opts.threads);
+}
+
 EngineContext::~EngineContext() = default;
-
-EngineContext &
-EngineContext::processDefault()
-{
-    static EngineContext &ctx = []() -> EngineContext & {
-        static EngineContext c;
-        c.name_ = "process";
-        return c;
-    }();
-    return ctx;
-}
-
-void
-EngineContext::configureProcess(std::optional<std::size_t> threads)
-{
-    if (threads)
-        ThreadPool::setGlobalSize(*threads);
-}
 
 metrics::Registry &
 EngineContext::metricsRegistry() const
 {
-    if (ownedRegistry_)
-        return *ownedRegistry_;
-    if (parent_ != nullptr)
-        return parent_->metricsRegistry();
-    return metrics::Registry::global();
+    return *ownedRegistry_;
 }
 
 trace::Tracer &
 EngineContext::tracer() const
 {
-    if (ownedTracer_)
-        return *ownedTracer_;
-    if (parent_ != nullptr)
-        return parent_->tracer();
-    return trace::Tracer::instance();
+    return ownedTracer_ ? *ownedTracer_ : parent_->tracer();
 }
 
 ThreadPool &
@@ -80,17 +73,17 @@ EngineContext::solveOptions() const
 std::shared_ptr<EngineContext>
 EngineContext::createChild(const ChildOptions &opts) const
 {
-    auto child = std::make_shared<EngineContext>();
-    child->parent_ = this;
-    child->name_ = opts.name;
-    child->ownedRegistry_ =
-        std::make_unique<metrics::Registry>(&metricsRegistry());
-    if (opts.threads > 0)
-        child->ownedPool_ =
-            std::make_unique<ThreadPool>(opts.threads);
-    child->baseSeed_ =
-        opts.baseSeed != 0 ? opts.baseSeed : baseSeed_;
-    return child;
+    return std::shared_ptr<EngineContext>(
+        new EngineContext(*this, opts));
+}
+
+const EngineContext &
+require(const EngineContext *ctx, const char *entry)
+{
+    if (ctx == nullptr)
+        panic(entry, ": no engine context (every entry point needs "
+                     "one; build a root EngineContext)");
+    return *ctx;
 }
 
 } // namespace engine

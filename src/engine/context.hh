@@ -4,31 +4,27 @@
  * services every compile/simulate/serve path needs — metrics
  * registry, trace sink, thread pool, and seed policy.
  *
- * Before this existed, each of those was a process-global reached
- * ambiently from ~15 files (`Registry::global()`,
- * `Tracer::instance()`, `setDefaultSolver()`, SRSIM_THREADS read
- * inside the pool), so concurrent daemon sessions could not be
- * observed, configured, or resource-budgeted independently. The
- * context inverts that: callers receive their services through an
- * `EngineContext` threaded down the call stack, and the daemon gives
- * each session a *child* context whose registry writes through to
- * the parent (aggregates stay exact) while exposing only that
- * session's activity.
+ * Callers receive their services through an `EngineContext` threaded
+ * down the call stack; there is no ambient registry or tracer to
+ * fall back on. The daemon gives each session a *child* context
+ * whose registry writes through to the parent (aggregates stay
+ * exact) while exposing only that session's activity.
  *
  * Ownership rules (DESIGN.md §14):
  *
- *  - the *process-default* context (processDefault()) owns nothing:
- *    it resolves to the process-wide registry / tracer / pool, so
- *    code that predates the refactor — and tests that pin those
- *    globals — behaves unchanged;
+ *  - a *root* context (default-constructed) owns its registry and
+ *    its tracer; it runs on the process-wide ThreadPool::global()
+ *    (the cores are process-wide) and starts no threads of its own;
  *  - a *child* context always owns its registry (parented for
  *    write-through), shares its parent's tracer, and shares the
  *    parent's pool unless given a private thread budget;
- *  - a parent context must outlive its children.
+ *  - a parent context must outlive its children;
+ *  - every engine entry point requires a context: a null one is a
+ *    caller bug and panics (require()).
  *
  * Environment policy: SRSIM_THREADS is parsed once, when the shared
- * pool is first built, and the CLI entry layer may override it via
- * configureProcess() before any engine work starts.
+ * pool is first built; the CLI entry layer may resize that pool
+ * (ThreadPool::setGlobalSize) before any engine work starts.
  */
 
 #ifndef SRSIM_ENGINE_CONTEXT_HH_
@@ -36,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "solver/lp.hh"
@@ -69,34 +64,16 @@ struct ChildOptions
     std::uint64_t baseSeed = 0;
 };
 
-/**
- * The service bundle. Immutable after construction apart from
- * configureProcess(), which may only run at CLI entry before any
- * engine work starts.
- */
+/** The service bundle. Immutable after construction. */
 class EngineContext
 {
   public:
-    /** A context resolving to the process-wide services. */
-    EngineContext() = default;
+    /** A root context owning a fresh registry and tracer. */
+    EngineContext();
 
     ~EngineContext();
     EngineContext(const EngineContext &) = delete;
     EngineContext &operator=(const EngineContext &) = delete;
-
-    /**
-     * The process-default context. Its registry / tracer / pool
-     * resolve dynamically to the process singletons so tests that
-     * swap those (ThreadPool::setGlobalSize) stay coherent.
-     */
-    static EngineContext &processDefault();
-
-    /**
-     * CLI entry configuration: resize the shared pool (--threads
-     * beats SRSIM_THREADS beats hardware concurrency). Call before
-     * any engine work.
-     */
-    static void configureProcess(std::optional<std::size_t> threads);
 
     metrics::Registry &metricsRegistry() const;
     trace::Tracer &tracer() const;
@@ -126,12 +103,17 @@ class EngineContext
     createChild(const ChildOptions &opts) const;
 
   private:
-    /** Parent for service resolution; null = process singletons. */
+    EngineContext(const EngineContext &parent,
+                  const ChildOptions &opts);
+
+    /** Parent for tracer / pool resolution; null for a root. */
     const EngineContext *parent_ = nullptr;
 
-    /** Owned services (children); null slots resolve upward. */
+    /** Always owned (a child's is parented for write-through). */
     std::unique_ptr<metrics::Registry> ownedRegistry_;
+    /** Owned by roots; children resolve their parent's. */
     std::unique_ptr<trace::Tracer> ownedTracer_;
+    /** A child's private thread budget; null shares upward. */
     std::unique_ptr<ThreadPool> ownedPool_;
 
     std::uint64_t baseSeed_ = 12345;
@@ -139,16 +121,12 @@ class EngineContext
 };
 
 /**
- * The effective context for an optional config pointer: `ctx` when
- * given, the process default otherwise. Every subsystem whose config
- * struct carries `const engine::EngineContext *ctx` resolves it
- * through this helper, so "no context" keeps pre-refactor behavior.
+ * `*ctx`, for the engine entry points: a null context is a caller
+ * bug, never a request for some default, so it panics naming the
+ * entry point.
  */
-inline const EngineContext &
-resolve(const EngineContext *ctx)
-{
-    return ctx != nullptr ? *ctx : EngineContext::processDefault();
-}
+const EngineContext &require(const EngineContext *ctx,
+                             const char *entry);
 
 } // namespace engine
 } // namespace srsim

@@ -40,7 +40,8 @@ runUtilizationExperiment(const TaskFlowGraph &g, const Topology &topo,
     // into its own slot, so the (ascending-load) series is identical
     // for every thread count.
     std::vector<UtilizationPoint> out(periods.size());
-    const engine::EngineContext &ectx = engine::resolve(cfg.ctx);
+    const engine::EngineContext &ectx =
+        engine::require(cfg.sr.ctx, "runUtilizationExperiment");
     ectx.pool().parallelFor(
         periods.size(), [&](std::size_t i) {
             const Time period = periods[i];
@@ -85,7 +86,8 @@ runThroughputExperiment(const TaskFlowGraph &g, const Topology &topo,
     // points (and each SR compile parallelizes internally — the
     // pool's parallelFor nests without deadlock).
     std::vector<LoadPoint> out(periods.size());
-    const engine::EngineContext &ectx = engine::resolve(cfg.ctx);
+    const engine::EngineContext &ectx =
+        engine::require(cfg.sr.ctx, "runThroughputExperiment");
     ectx.pool().parallelFor(
         periods.size(), [&](std::size_t idx) {
         const Time period = periods[idx];
@@ -118,8 +120,6 @@ runThroughputExperiment(const TaskFlowGraph &g, const Topology &topo,
 
         // --- Scheduled routing: compile (and execute if feasible).
         SrCompilerConfig scfg = cfg.sr;
-        if (scfg.ctx == nullptr)
-            scfg.ctx = &ectx;
         scfg.inputPeriod = period;
         const SrCompileResult sr = compileScheduledRouting(
             g, topo, alloc, tm, scfg);
@@ -129,7 +129,7 @@ runThroughputExperiment(const TaskFlowGraph &g, const Topology &topo,
         if (sr.feasible) {
             const SrExecutionResult ex = executeSchedule(
                 g, alloc, tm, sr.bounds, sr.omega,
-                cfg.invocations, &ectx);
+                cfg.invocations, ectx);
             SRSIM_ASSERT(ex.consistent(cfg.warmup),
                          "verified schedule must give constant "
                          "throughput");

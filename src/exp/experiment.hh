@@ -33,10 +33,6 @@
 
 namespace srsim {
 
-namespace engine {
-class EngineContext;
-}
-
 /** Shared experiment knobs. */
 struct ExperimentConfig
 {
@@ -45,13 +41,13 @@ struct ExperimentConfig
     double maxPeriodFactor = 5.0;
     int invocations = 60;
     int warmup = 10;
-    SrCompilerConfig sr;
     /**
-     * Engine context the sweep runs under (thread pool, tracer,
-     * metrics, solver kind); load points also compile and simulate
-     * under it. nullptr uses the process default context.
+     * Compiler knobs for every load point. `sr.ctx` is the engine
+     * context the whole sweep runs under (thread pool, tracer,
+     * metrics): load points also compile and simulate under it.
+     * Required.
      */
-    const engine::EngineContext *ctx = nullptr;
+    SrCompilerConfig sr;
 };
 
 /** One load point of a Fig. 7-10 style experiment. */

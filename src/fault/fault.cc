@@ -47,16 +47,24 @@ parseNumber(const std::string &s, const std::string &what,
     return v;
 }
 
-int
-parseInt(const std::string &s, const std::string &what,
-         const std::string &event)
+/** Strict whole number in [0, hi]; FatalError with context. */
+std::uint64_t
+parseWhole(const std::string &s, std::uint64_t hi,
+           const std::string &what, const std::string &event)
 {
-    const double v = parseNumber(s, what, event);
-    const int i = static_cast<int>(v);
-    if (static_cast<double>(i) != v)
-        fatal("fault spec: non-integer ", what, " in event '", event,
-              "'");
-    return i;
+    std::uint64_t v = 0;
+    if (!parseUnsigned(s, 0, hi, &v))
+        fatal("fault spec: bad ", what, " '", s, "' in event '", event,
+              "' (expected a whole number in [0, ", hi, "])");
+    return v;
+}
+
+/** A link, node or count: a whole number in [0, INT_MAX]. */
+int
+parseIndex(const std::string &s, const std::string &what,
+           const std::string &event)
+{
+    return static_cast<int>(parseWhole(s, INT_MAX, what, event));
 }
 
 /** Parse "A-B" or "#I" into (a, b) endpoints or an explicit id. */
@@ -65,15 +73,15 @@ parseLinkRef(const std::string &s, const std::string &event,
              FaultEvent &ev)
 {
     if (!s.empty() && s[0] == '#') {
-        ev.link = parseInt(s.substr(1), "link id", event);
+        ev.link = parseIndex(s.substr(1), "link id", event);
         return;
     }
     const std::size_t dash = s.find('-');
     if (dash == std::string::npos)
         fatal("fault spec: expected 'A-B' or '#I' link reference, "
               "got '", s, "' in event '", event, "'");
-    ev.a = parseInt(s.substr(0, dash), "node id", event);
-    ev.b = parseInt(s.substr(dash + 1), "node id", event);
+    ev.a = parseIndex(s.substr(0, dash), "node id", event);
+    ev.b = parseIndex(s.substr(dash + 1), "node id", event);
 }
 
 FaultEvent
@@ -100,7 +108,7 @@ parseEvent(const std::string &text)
         parseLinkRef(arg, text, ev);
     } else if (kind == "node") {
         ev.kind = FaultEvent::Kind::NodeFail;
-        ev.node = parseInt(arg, "node id", text);
+        ev.node = parseIndex(arg, "node id", text);
     } else if (kind == "derate") {
         ev.kind = FaultEvent::Kind::LinkDerate;
         const std::size_t eq = arg.find('=');
@@ -118,9 +126,9 @@ parseEvent(const std::string &text)
         if (sep == std::string::npos)
             fatal("fault spec: rand event '", text,
                   "' must be 'rand:K:S'");
-        ev.count = parseInt(arg.substr(0, sep), "count", text);
-        ev.seed = static_cast<std::uint64_t>(
-            parseNumber(arg.substr(sep + 1), "seed", text));
+        ev.count = parseIndex(arg.substr(0, sep), "count", text);
+        ev.seed =
+            parseWhole(arg.substr(sep + 1), UINT64_MAX, "seed", text);
         if (ev.count <= 0)
             fatal("fault spec: rand count must be positive in "
                   "event '", text, "'");

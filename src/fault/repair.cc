@@ -106,10 +106,9 @@ tryIncrementalRepair(const TaskFlowGraph &g, const Topology &topo,
                      const SrCompilerConfig &cfg,
                      const SrCompileResult &healthy,
                      lp::BasisCache *basisCache,
-                     const engine::EngineContext *ctx,
                      RepairResult &res)
 {
-    const engine::EngineContext &ectx = engine::resolve(ctx);
+    const engine::EngineContext &ectx = *cfg.ctx;
     const TimeBounds &bounds = healthy.bounds;
     if (!healthy.intervals)
         return false; // degenerate: no network messages
@@ -155,7 +154,7 @@ tryIncrementalRepair(const TaskFlowGraph &g, const Topology &topo,
     iopts.topo = &topo;
     iopts.tracePrefix = "repair";
     iopts.basisCache = basisCache;
-    iopts.ctx = ctx;
+    iopts.ctx = cfg.ctx;
     const IncrementalSolveResult inc = resolveDirtySubsets(
         bounds, ivs, pa, dirtyFlags, healthy.omega.segments, iopts);
 
@@ -201,9 +200,8 @@ repairSchedule(const TaskFlowGraph &g, const Topology &topo,
                const SrCompileResult &healthy,
                const RepairOptions &opts)
 {
-    // The repair's context: its own when set, else the compile's.
-    const engine::EngineContext &ectx = engine::resolve(
-        opts.ctx != nullptr ? opts.ctx : cfg.ctx);
+    const engine::EngineContext &ectx =
+        engine::require(cfg.ctx, "repairSchedule");
     metrics::Registry &mreg = ectx.metricsRegistry();
     trace::ScopedPhase phase("fault_repair", ectx.tracer(), mreg);
     RepairResult res;
@@ -230,7 +228,7 @@ repairSchedule(const TaskFlowGraph &g, const Topology &topo,
 
     if (res.shedMessages.empty() && opts.allowIncremental &&
         tryIncrementalRepair(g, topo, alloc, tm, cfg, healthy,
-                             opts.basisCache, &ectx, res)) {
+                             opts.basisCache, res)) {
         res.omega.faultSpec = opts.faultSpec;
         return res;
     }
@@ -254,7 +252,6 @@ repairSchedule(const TaskFlowGraph &g, const Topology &topo,
         SrCompilerConfig cfg2 = cfg;
         cfg2.inputPeriod = healthy.omega.period * f;
         cfg2.verify = true;
-        cfg2.ctx = &ectx;
         const SrCompileResult attempt = compileScheduledRouting(
             g2, topo, alloc, tm, cfg2);
         if (!attempt.feasible) {

@@ -70,12 +70,6 @@ struct RepairOptions
      * handful of pivots. nullptr keeps every solve cold.
      */
     lp::BasisCache *basisCache = nullptr;
-    /**
-     * Engine context the repair runs under (tracer, metrics,
-     * thread pool, solver kind). Falls back to the compile config's
-     * context, then the process default, when nullptr.
-     */
-    const engine::EngineContext *ctx = nullptr;
 };
 
 /** Outcome of a repair. */
@@ -132,7 +126,8 @@ struct RepairResult
  * them are re-solved. Otherwise — or when the fast path fails — the
  * whole problem is recompiled on the degraded topology (on a reduced
  * TFG when messages were shed), and finally retried at stretched
- * periods. Every produced schedule is re-verified on `topo`.
+ * periods. Every produced schedule is re-verified on `topo`. The
+ * repair runs under the compile's context, `cfg.ctx` (required).
  */
 RepairResult
 repairSchedule(const TaskFlowGraph &g, const Topology &topo,

@@ -65,7 +65,8 @@ buildMirror(const TaskFlowGraph &base,
 
 /** The throwing core of runChurnCase(). */
 RunResult
-runChurnInner(const FuzzCase &c, const RunOptions &opts)
+runChurnInner(const FuzzCase &c, const engine::EngineContext &ctx,
+              const RunOptions &opts)
 {
     auto topo = makeTopology(c.topoSpec);
 
@@ -86,7 +87,7 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
     }
 
     const TaskAllocation alloc = c.makeAllocation(*topo);
-    const SrCompilerConfig cfg = c.makeConfig();
+    const SrCompilerConfig cfg = c.makeConfig(ctx);
 
     // Same domain restriction as the batch runner: the final
     // cpsim/analytic cross-execution needs the dedicated-AP premise.
@@ -122,14 +123,14 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
                                 scfg);
 
     // Independent certification of the current published schedule.
-    const auto certify = [&](const std::string &ctx) {
+    const auto certify = [&](const std::string &when) {
         const auto pub = svc.published();
         const VerifyResult v =
             verifySchedule(pub->g, svc.topology(), alloc,
                            pub->bounds, pub->omega);
         if (!v.ok)
             return "verifier rejected the published schedule " +
-                   ctx + ": " +
+                   when + ": " +
                    (v.violations.empty() ? std::string("?")
                                          : v.violations.front());
         return std::string();
@@ -230,6 +231,7 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
         CpSimConfig sim_cfg;
         sim_cfg.invocations = opts.invocations;
         sim_cfg.warmup = opts.warmup;
+        sim_cfg.ctx = &ctx;
         const CpSimResult dyn =
             simulateCps(pub->g, svc.topology(), alloc, c.tm,
                         pub->bounds, pub->omega, sim_cfg);
@@ -240,7 +242,7 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
                 dyn.violations.front());
         const SrExecutionResult ana =
             executeSchedule(pub->g, alloc, c.tm, pub->bounds,
-                            pub->omega, opts.invocations);
+                            pub->omega, opts.invocations, ctx);
         if (ana.premiseViolated)
             return failure(
                 "analytic executor premise violated on the final "
@@ -275,12 +277,13 @@ runChurnInner(const FuzzCase &c, const RunOptions &opts)
 } // namespace
 
 RunResult
-runChurnCase(const FuzzCase &c, const RunOptions &opts)
+runChurnCase(const FuzzCase &c, const engine::EngineContext &ctx,
+             const RunOptions &opts)
 {
     // Same core contract as runCase(): nothing a case contains may
     // escape as an exception.
     try {
-        return runChurnInner(c, opts);
+        return runChurnInner(c, ctx, opts);
     } catch (const PanicError &e) {
         return failure(std::string("panic: ") + e.what());
     } catch (const FatalError &e) {

@@ -35,7 +35,9 @@ namespace fuzz {
  * from-scratch compiler. Never throws. Cases without churn ops
  * degrade to checking start() against the oracle.
  */
-RunResult runChurnCase(const FuzzCase &c, const RunOptions &opts = {});
+RunResult runChurnCase(const FuzzCase &c,
+                       const engine::EngineContext &ctx,
+                       const RunOptions &opts = {});
 
 } // namespace fuzz
 } // namespace srsim

@@ -41,7 +41,8 @@ failure(std::string why)
 
 /** The throwing core of runCase(). */
 RunResult
-runCaseInner(const FuzzCase &c, const RunOptions &opts)
+runCaseInner(const FuzzCase &c, const engine::EngineContext &ctx,
+             const RunOptions &opts)
 {
     const auto topo = makeTopology(c.topoSpec);
 
@@ -73,7 +74,7 @@ runCaseInner(const FuzzCase &c, const RunOptions &opts)
     }
 
     const TaskAllocation alloc = c.makeAllocation(*topo);
-    const SrCompilerConfig cfg = c.makeConfig();
+    const SrCompilerConfig cfg = c.makeConfig(ctx);
 
     // The differential domain requires the dedicated-AP premise: a
     // case that co-locates two tasks is legal input to the compiler
@@ -131,6 +132,7 @@ runCaseInner(const FuzzCase &c, const RunOptions &opts)
     CpSimConfig sim_cfg;
     sim_cfg.invocations = opts.invocations;
     sim_cfg.warmup = opts.warmup;
+    sim_cfg.ctx = &ctx;
     const CpSimResult dyn = simulateCps(c.g, *topo, alloc, c.tm,
                                         r.bounds, r.omega, sim_cfg);
     if (!dyn.ok())
@@ -139,7 +141,7 @@ runCaseInner(const FuzzCase &c, const RunOptions &opts)
 
     // Oracle 3: the analytic executor.
     const SrExecutionResult ana = executeSchedule(
-        c.g, alloc, c.tm, r.bounds, r.omega, opts.invocations);
+        c.g, alloc, c.tm, r.bounds, r.omega, opts.invocations, ctx);
     if (ana.premiseViolated)
         return failure(
             "analytic executor premise violated: " +
@@ -172,21 +174,22 @@ runCaseInner(const FuzzCase &c, const RunOptions &opts)
 } // namespace
 
 RunResult
-runCase(const FuzzCase &c, const RunOptions &opts)
+runCase(const FuzzCase &c, const engine::EngineContext &ctx,
+        const RunOptions &opts)
 {
     // Multi-session cases exercise the scheduling daemon and its
     // crash-recovery oracle (fuzz/multi.hh).
     if (c.numSessions > 0 || !c.multiOps.empty())
-        return runMultiCase(c, opts);
+        return runMultiCase(c, ctx, opts);
     // Churny cases exercise the online service against the
     // from-scratch oracle instead of the batch three-oracle run.
     if (!c.churnOps.empty())
-        return runChurnCase(c, opts);
+        return runChurnCase(c, ctx, opts);
     // The harness's core contract: *nothing* a case contains may
     // escape as an exception — a throw is itself the bug being
     // hunted (the compiler must return structured errors).
     try {
-        return runCaseInner(c, opts);
+        return runCaseInner(c, ctx, opts);
     } catch (const PanicError &e) {
         return failure(std::string("panic: ") + e.what());
     } catch (const FatalError &e) {

@@ -69,7 +69,8 @@ struct RunOptions
 };
 
 /** Compile `c` and cross-check the three oracles. Never throws. */
-RunResult runCase(const FuzzCase &c, const RunOptions &opts = {});
+RunResult runCase(const FuzzCase &c, const engine::EngineContext &ctx,
+                  const RunOptions &opts = {});
 
 } // namespace fuzz
 } // namespace srsim

@@ -23,9 +23,9 @@ FuzzCase::makeAllocation(const Topology &topo) const
 }
 
 SrCompilerConfig
-FuzzCase::makeConfig() const
+FuzzCase::makeConfig(const engine::EngineContext &ctx) const
 {
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &ctx};
     cfg.inputPeriod = inputPeriod;
     cfg.useAssignPaths = useAssignPaths;
     cfg.assign.seed = assignSeed;

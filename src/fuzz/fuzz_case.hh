@@ -113,7 +113,7 @@ struct FuzzCase
     TaskAllocation makeAllocation(const Topology &topo) const;
 
     /** Compiler configuration for this case. */
-    SrCompilerConfig makeConfig() const;
+    SrCompilerConfig makeConfig(const engine::EngineContext &ctx) const;
 };
 
 /** Write c in the srsim-fuzz v1 text format. */

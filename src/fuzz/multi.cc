@@ -122,7 +122,8 @@ diffBytes(const std::map<std::string, std::string> &want,
 
 /** The throwing core of runMultiCase(). */
 RunResult
-runMultiInner(const FuzzCase &c, const RunOptions &opts)
+runMultiInner(const FuzzCase &c, const engine::EngineContext &ctx,
+              const RunOptions &opts)
 {
     (void)opts; // No cpsim cross-execution on the daemon lines.
 
@@ -215,6 +216,7 @@ runMultiInner(const FuzzCase &c, const RunOptions &opts)
     base.workers = 1; // Inline + deterministic on both lines.
     base.queueCap = ops.size() + 16;
     base.cacheCapacity = 64;
+    base.ctx = &ctx;
 
     const std::size_t half = ops.size() / 2;
 
@@ -340,12 +342,13 @@ runMultiInner(const FuzzCase &c, const RunOptions &opts)
 } // namespace
 
 RunResult
-runMultiCase(const FuzzCase &c, const RunOptions &opts)
+runMultiCase(const FuzzCase &c, const engine::EngineContext &ctx,
+             const RunOptions &opts)
 {
     // Same core contract as runCase(): nothing a case contains may
     // escape as an exception.
     try {
-        return runMultiInner(c, opts);
+        return runMultiInner(c, ctx, opts);
     } catch (const PanicError &e) {
         return failure(std::string("panic: ") + e.what());
     } catch (const FatalError &e) {

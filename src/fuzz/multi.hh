@@ -45,7 +45,9 @@ namespace fuzz {
  * Run `c` through the daemon straight-line and crash-recovery
  * lines and cross-check them. Never throws.
  */
-RunResult runMultiCase(const FuzzCase &c, const RunOptions &opts = {});
+RunResult runMultiCase(const FuzzCase &c,
+                       const engine::EngineContext &ctx,
+                       const RunOptions &opts = {});
 
 } // namespace fuzz
 } // namespace srsim

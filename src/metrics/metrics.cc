@@ -190,13 +190,6 @@ LinkTimeline::utilization(double horizon) const
     return out;
 }
 
-Registry &
-Registry::global()
-{
-    static Registry r;
-    return r;
-}
-
 void
 Registry::setEnabled(bool on)
 {

@@ -160,8 +160,8 @@ class LinkTimeline
 };
 
 /**
- * Named registry. The process-wide instance (global()) remains for
- * the default engine context; per-tenant isolation constructs child
+ * Named registry. Every engine context owns one (DESIGN.md §14); a
+ * root's is standalone, and per-tenant isolation constructs child
  * registries parented to it. A child's metrics write through to the
  * same-named parent metric, so aggregates stay exact while each
  * child exposes only its own activity. A parent must outlive — and
@@ -175,8 +175,6 @@ class Registry
         : parent_(parent)
     {
     }
-
-    static Registry &global();
 
     static bool
     enabled()

@@ -3,7 +3,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "engine/context.hh"
 #include "metrics/metrics.hh"
 
 namespace srsim {
@@ -99,9 +98,7 @@ fnv1a64(const std::string &s)
 ScheduleCache::ScheduleCache(std::size_t capacity,
                              metrics::Registry *registry)
     : capacity_(capacity == 0 ? 1 : capacity),
-      registry_(registry != nullptr
-                    ? registry
-                    : &engine::resolve(nullptr).metricsRegistry())
+      registry_(registry)
 {
 }
 
@@ -125,7 +122,7 @@ ScheduleCache::entryBytes(const std::string &key, const Entry &entry)
 void
 ScheduleCache::publishBytesGauge()
 {
-    if (SRSIM_METRICS_ENABLED())
+    if (SRSIM_METRICS_ENABLED() && registry_ != nullptr)
         registry_->gauge("cache.bytes")
             .set(static_cast<double>(bytes_.load()));
 }
@@ -177,7 +174,7 @@ ScheduleCache::insert(const std::string &key, Entry entry)
         map_.erase(victim.first);
         lru_.pop_back();
         evictions_.fetch_add(1);
-        if (SRSIM_METRICS_ENABLED())
+        if (SRSIM_METRICS_ENABLED() && registry_ != nullptr)
             registry_->counter("cache.evictions").add(1);
     }
     publishBytesGauge();

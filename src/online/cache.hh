@@ -77,10 +77,10 @@ class ScheduleCache
   public:
     /**
      * @param registry registry the cache.bytes gauge and
-     *        cache.evictions counter land in; nullptr resolves the
-     *        process default registry at construction time. The
-     *        daemon's shared cross-session cache keeps the default
-     *        (its traffic is aggregate by nature).
+     *        cache.evictions counter land in; nullptr records
+     *        nothing. The daemon's shared cross-session cache
+     *        reports into its root context's registry (its traffic
+     *        is aggregate by nature).
      */
     explicit ScheduleCache(std::size_t capacity = 64,
                            metrics::Registry *registry = nullptr);

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/parse.hh"
+
 namespace srsim {
 namespace online {
 
@@ -41,14 +43,26 @@ cleanLine(const std::string &raw)
     return s.substr(b, e - b + 1);
 }
 
+/** A positive finite number (admit bytes, a period). */
+bool
+parsePositive(const std::string &tok, double *out)
+{
+    return parseFinite(tok, out) && *out > 0.0;
+}
+
 /** Parse `admit <name> <src> <dst> <bytes>` after the keyword. */
 bool
 parseAdmitArgs(std::istringstream &ls, AdmitSpec &spec,
                std::string &why)
 {
-    std::string extra;
-    if (!(ls >> spec.name >> spec.src >> spec.dst >> spec.bytes)) {
+    std::string bytes, extra;
+    if (!(ls >> spec.name >> spec.src >> spec.dst >> bytes)) {
         why = "expected: admit <name> <srcTask> <dstTask> <bytes>";
+        return false;
+    }
+    if (!parsePositive(bytes, &spec.bytes)) {
+        why = "admit bytes must be a positive number, got '" + bytes +
+              "'";
         return false;
     }
     if (ls >> extra) {
@@ -90,8 +104,12 @@ parseRequestLine(const std::string &line)
                                  extra + "'");
     } else if (verb == "period") {
         r.kind = RequestKind::UpdatePeriod;
-        if (!(ls >> r.period))
+        std::string period;
+        if (!(ls >> period))
             return failAt(0, "expected: period <tau_in_us>");
+        if (!parsePositive(period, &r.period))
+            return failAt(0, "period must be a positive number, got '" +
+                                 period + "'");
         if (ls >> extra)
             return failAt(0, "trailing tokens after period: '" +
                                  extra + "'");
@@ -110,6 +128,16 @@ parseRequestLine(const std::string &line)
     res.ok = true;
     res.requests.push_back(std::move(r));
     return res;
+}
+
+bool
+parseBatchCount(const std::string &tok, int *n)
+{
+    std::uint64_t v = 0;
+    if (!parseUnsigned(tok, 1, kMaxBatch, &v))
+        return false;
+    *n = static_cast<int>(v);
+    return true;
 }
 
 ScriptParseResult
@@ -147,18 +175,19 @@ parseRequestScript(std::istream &is)
         }
 
         if (verb == "batch") {
-            long long n = 0;
-            std::string extra;
-            if (!(ls >> n) || n <= 0 || n > 100000)
-                return failAt(lineNo,
-                              "expected: batch <N> with N >= 1");
+            std::string count, extra;
+            int n = 0;
+            if (!(ls >> count) || !parseBatchCount(count, &n))
+                return failAt(lineNo, "expected: batch <N> with N in [1, " +
+                                          std::to_string(kMaxBatch) +
+                                          "]");
             if (ls >> extra)
                 return failAt(lineNo,
                               "trailing tokens after batch: '" +
                                   extra + "'");
             batch = Request{};
             batch.kind = RequestKind::AdmitMessage;
-            batchLeft = static_cast<int>(n);
+            batchLeft = n;
             continue;
         }
 

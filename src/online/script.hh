@@ -45,6 +45,16 @@ ScriptParseResult parseRequestScript(std::istream &is);
 /** Parse one script line (no batch support); used by the REPL. */
 ScriptParseResult parseRequestLine(const std::string &line);
 
+/** Largest admit group one `batch N` line may announce. */
+constexpr int kMaxBatch = 100000;
+
+/**
+ * Parse the N of `batch N` — the one rule for every script that
+ * groups admits: a whole number in [1, kMaxBatch]. @return false
+ * when `tok` is not one.
+ */
+bool parseBatchCount(const std::string &tok, int *n);
+
 } // namespace online
 } // namespace srsim
 

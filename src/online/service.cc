@@ -138,16 +138,16 @@ OnlineScheduler::OnlineScheduler(TaskFlowGraph g,
       alloc_(std::move(alloc)),
       tm_(tm),
       cfg_(std::move(cfg)),
+      ctx_(engine::require(cfg_.compiler.ctx, "OnlineScheduler")),
       cache_(cfg_.sharedCache
                  ? cfg_.sharedCache
                  : std::make_shared<ScheduleCache>(
                        cfg_.cacheCapacity == 0
                            ? 1
                            : cfg_.cacheCapacity,
-                       &engine::resolve(cfg_.compiler.ctx)
-                            .metricsRegistry())),
+                       &ctx_.metricsRegistry())),
       basisCache_(std::make_shared<lp::BasisCache>(
-          &engine::resolve(cfg_.compiler.ctx).metricsRegistry()))
+          &ctx_.metricsRegistry()))
 {
 }
 
@@ -175,9 +175,7 @@ OnlineScheduler::finish(RequestResult res, const char *what,
 {
     const double endUs = trace::Tracer::nowWallUs();
     res.latencyMs = (endUs - startUs) / 1000.0;
-    const engine::EngineContext &ectx =
-        engine::resolve(cfg_.compiler.ctx);
-    metrics::Registry &reg = ectx.metricsRegistry();
+    metrics::Registry &reg = ctx_.metricsRegistry();
     bump(reg, "online.requests");
     if (res.accepted) {
         bump(reg, "online.subsets_resolved",
@@ -202,7 +200,7 @@ OnlineScheduler::finish(RequestResult res, const char *what,
                              : rejectReasonName(res.reason));
         if (!res.accepted && !res.detail.empty())
             oss << ": " << res.detail;
-        trace::onlineRequest(ectx.tracer(), oss.str(), endUs);
+        trace::onlineRequest(ctx_.tracer(), oss.str(), endUs);
     }
     return res;
 }
@@ -211,10 +209,8 @@ Time
 OnlineScheduler::probeStretchedPeriods(const TaskFlowGraph &g2,
                                        Time period)
 {
-    const engine::EngineContext &ectx =
-        engine::resolve(cfg_.compiler.ctx);
-    trace::ScopedPhase phase("online_stretch_probe", ectx.tracer(),
-                             ectx.metricsRegistry());
+    trace::ScopedPhase phase("online_stretch_probe", ctx_.tracer(),
+                             ctx_.metricsRegistry());
     for (double f : cfg_.stretchFactors) {
         SrCompilerConfig ccfg = cfg_.compiler;
         ccfg.inputPeriod = period * f;
@@ -275,9 +271,7 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
     SolveOutcome out;
     RequestResult &res = out.res;
     res.period = period;
-    const engine::EngineContext &ectx =
-        engine::resolve(cfg_.compiler.ctx);
-    metrics::Registry &reg = ectx.metricsRegistry();
+    metrics::Registry &reg = ctx_.metricsRegistry();
 
     // Time bounds and the interval decomposition are route-free
     // (Sec. 4 / Sec. 5.1): recomputing them for the new workload is
@@ -371,8 +365,8 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
     if (allowIncremental && prior &&
         period == prior->omega.period) {
         trace::ScopedPhase phase("online_incremental",
-                                 ectx.tracer(),
-                                 ectx.metricsRegistry());
+                                 ctx_.tracer(),
+                                 ctx_.metricsRegistry());
         IntervalSet ivs2(bounds2);
 
         std::unordered_map<std::string, std::size_t> oldIdx;
@@ -482,8 +476,8 @@ OnlineScheduler::solveWorkload(const TaskFlowGraph &g2, Time period,
 
     // Full compile: the fallback and the source of truth for
     // rejection classification.
-    trace::ScopedPhase phase("online_full_compile", ectx.tracer(),
-                             ectx.metricsRegistry());
+    trace::ScopedPhase phase("online_full_compile", ctx_.tracer(),
+                             ctx_.metricsRegistry());
     bump(reg, "online.full_compiles");
     SrCompileResult comp =
         compileScheduledRouting(g2, *topo_, alloc_, tm_, ccfg);
@@ -688,7 +682,7 @@ OnlineScheduler::admitBatch(const std::vector<AdmitSpec> &specs)
         publish(std::move(out.next), res.period);
         res.accepted = true;
         metrics::Registry &reg =
-            engine::resolve(cfg_.compiler.ctx).metricsRegistry();
+            ctx_.metricsRegistry();
         bump(reg, "online.admitted");
         bump(reg, "online.messages_admitted",
              static_cast<std::uint64_t>(specs.size()));
@@ -728,7 +722,7 @@ OnlineScheduler::remove(const std::string &msgName)
     if (out.ok) {
         publish(std::move(out.next), res.period);
         res.accepted = true;
-        bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
+        bump(ctx_.metricsRegistry(),
              "online.removed");
     }
     return finish(res, "remove", t0, false);
@@ -759,7 +753,7 @@ OnlineScheduler::updatePeriod(Time period)
         publish(std::move(out.next), period);
         res.accepted = true;
         res.period = period;
-        bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
+        bump(ctx_.metricsRegistry(),
              "online.period_updates");
     } else {
         res.period = cfg_.compiler.inputPeriod;
@@ -880,7 +874,7 @@ OnlineScheduler::injectFault(const std::string &spec)
 
     publish(std::move(next), rep.degradedPeriod);
     res.accepted = true;
-    bump(engine::resolve(cfg_.compiler.ctx).metricsRegistry(),
+    bump(ctx_.metricsRegistry(),
          "online.faults_injected");
     return finish(res, "fault", t0, false);
 }

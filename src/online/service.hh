@@ -50,7 +50,11 @@ namespace online {
 /** Service policy knobs. */
 struct OnlineSchedulerConfig
 {
-    /** Compiler configuration (inputPeriod = initial period). */
+    /**
+     * Compiler configuration (inputPeriod = initial period).
+     * `compiler.ctx` is the engine context the service runs under
+     * for its whole life (required).
+     */
     SrCompilerConfig compiler;
     /** Schedule cache capacity (entries); 0 disables the cache. */
     std::size_t cacheCapacity = 64;
@@ -60,7 +64,7 @@ struct OnlineSchedulerConfig
      * cacheCapacity still gates per-service use: 0 disables lookups
      * for this service even on a shared cache.
      */
-    std::shared_ptr<ScheduleCache> sharedCache;
+    std::shared_ptr<ScheduleCache> sharedCache{};
     /**
      * Probe stretched periods on rejection so the caller learns the
      * smallest feasible period (RejectReason::PeriodStretchRequired).
@@ -69,7 +73,7 @@ struct OnlineSchedulerConfig
     /** Stretch factors probed in order on the current period. */
     std::vector<double> stretchFactors = {1.25, 1.5, 2.0, 3.0, 4.0};
     /** Fault-repair policy for InjectFault requests. */
-    fault::RepairOptions repair;
+    fault::RepairOptions repair{};
 };
 
 /** One immutable published snapshot of the service's schedule. */
@@ -100,7 +104,7 @@ class OnlineScheduler
   public:
     OnlineScheduler(TaskFlowGraph g, std::unique_ptr<Topology> topo,
                     TaskAllocation alloc, TimingModel tm,
-                    OnlineSchedulerConfig cfg = {});
+                    OnlineSchedulerConfig cfg);
 
     /** Compile + publish the initial schedule. */
     RequestResult start();
@@ -161,6 +165,8 @@ class OnlineScheduler
     TaskAllocation alloc_;
     TimingModel tm_;
     OnlineSchedulerConfig cfg_;
+    /** *cfg_.compiler.ctx, checked once at construction. */
+    const engine::EngineContext &ctx_;
     std::shared_ptr<ScheduleCache> cache_;
     /**
      * Per-subset LP basis cache: incremental re-solves warm-start

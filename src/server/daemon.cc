@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 #include <unordered_map>
 
 #include "core/schedule_io.hh"
@@ -83,6 +84,9 @@ buildAllocation(const SessionConfig &sc, const TaskFlowGraph &g,
 std::shared_ptr<engine::EngineContext>
 SchedulingDaemon::makeSessionContext(const SessionConfig &sc) const
 {
+    if (sc.threads > kMaxSessionThreads)
+        fatal("invalid input: threads=", sc.threads, " exceeds the ",
+              kMaxSessionThreads, "-thread session budget");
     engine::ChildOptions co;
     co.name = "session." + sc.name;
     co.threads = sc.threads;
@@ -119,7 +123,7 @@ daemonOutcomeName(DaemonOutcome o)
 
 SchedulingDaemon::SchedulingDaemon(DaemonConfig cfg)
     : cfg_(std::move(cfg)),
-      root_(&engine::resolve(cfg_.ctx)),
+      root_(&engine::require(cfg_.ctx, "SchedulingDaemon")),
       cache_(std::make_shared<online::ScheduleCache>(
           cfg_.cacheCapacity == 0 ? 1 : cfg_.cacheCapacity,
           &root_->metricsRegistry()))
@@ -418,6 +422,9 @@ SchedulingDaemon::replayOp(const DaemonOp &op, RecoveryResult &rr)
           } catch (const FatalError &) {
               ++rr.replayRejected;
               return false;
+          } catch (const std::system_error &) {
+              ++rr.replayRejected;
+              return false;
           }
           if (!svc->start().accepted) {
               ++rr.replayRejected;
@@ -604,6 +611,10 @@ SchedulingDaemon::open(const SessionConfig &sc)
         first = svc->start();
     } catch (const FatalError &e) {
         configError = e.what();
+    } catch (const std::system_error &e) {
+        // The host refused the session's private threads.
+        configError = std::string("cannot start session threads: ") +
+                      e.what();
     }
 
     const bool ok = configError.empty() && first.accepted;
@@ -796,7 +807,7 @@ SchedulingDaemon::finishJob(Session &s, Job &job)
     resp.id = job.id;
     resp.session = s.cfg.name;
     resp.kind = job.kind;
-    const engine::EngineContext &ectx = engine::resolve(s.ctx.get());
+    const engine::EngineContext &ectx = *s.ctx;
     const double pickedUs = trace::Tracer::nowWallUs();
     resp.queueMs = (pickedUs - job.enqueueUs) / 1000.0;
     if (SRSIM_METRICS_ENABLED())

@@ -76,7 +76,7 @@ struct DaemonConfig
      * State directory for WAL + snapshots; empty = ephemeral (no
      * durability, no recovery).
      */
-    std::string stateDir;
+    std::string stateDir{};
     /** Accepted requests between snapshots; 0 = shutdown only. */
     std::size_t snapshotEvery = 0;
     /** Group-commit batch: fsync after this many WAL records. */
@@ -88,8 +88,7 @@ struct DaemonConfig
     /**
      * Root engine context the daemon runs under; every session gets
      * a child of it (own metrics registry, optional private thread
-     * budget via the open line's threads= key). nullptr uses the
-     * process default context.
+     * budget via the open line's threads= key). Required.
      */
     const engine::EngineContext *ctx = nullptr;
 };

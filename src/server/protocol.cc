@@ -68,11 +68,11 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
             }
             sc.alloc = val;
         } else if (key == "seed") {
-            if (!parseFinite(val, &num) || num < 0.0) {
-                *err = "seed must be >= 0, got '" + val + "'";
+            if (!parseUnsigned(val, 0, UINT64_MAX, &sc.seed)) {
+                *err = "seed must be a whole number >= 0, got '" + val +
+                       "'";
                 return false;
             }
-            sc.seed = static_cast<std::uint64_t>(num);
         } else if (key == "cache") {
             if (val != "0" && val != "1") {
                 *err = "cache must be 0 or 1, got '" + val + "'";
@@ -80,14 +80,14 @@ parseOpenConfig(std::istringstream &ls, SessionConfig &sc,
             }
             sc.cache = val == "1";
         } else if (key == "threads") {
-            if (!parseFinite(val, &num) || num < 1.0 ||
-                num != static_cast<double>(
-                           static_cast<std::size_t>(num))) {
-                *err = "threads must be a positive integer, got '" +
+            std::uint64_t threads = 0;
+            if (!parseUnsigned(val, 1, kMaxSessionThreads, &threads)) {
+                *err = "threads must be a whole number in [1, " +
+                       std::to_string(kMaxSessionThreads) + "], got '" +
                        val + "'";
                 return false;
             }
-            sc.threads = static_cast<std::size_t>(num);
+            sc.threads = static_cast<std::size_t>(threads);
         } else {
             *err = "unknown open key '" + key + "'";
             return false;
@@ -174,11 +174,12 @@ parseDaemonScript(std::istream &is)
                                     "' line has no request");
 
         if (verb == "batch") {
+            std::string count, extra;
             int n = 0;
-            std::string extra;
-            if (!(vs >> n) || n <= 0)
-                return fail(lineNo,
-                            "batch requires a positive count");
+            if (!(vs >> count) || !online::parseBatchCount(count, &n))
+                return fail(lineNo, "batch requires a count in [1, " +
+                                        std::to_string(online::kMaxBatch) +
+                                        "]");
             if (vs >> extra)
                 return fail(lineNo, "unexpected token '" + extra +
                                         "' after batch count");

@@ -10,7 +10,7 @@
  *     # comment / blank lines ignored
  *     open <session> topo=SPEC period=US tfg=dvb|FILE
  *          [bw=B] [ap=S] [alloc=greedy|random|rr:<stride>]
- *          [seed=N] [cache=0|1]
+ *          [seed=N] [cache=0|1] [threads=T]
  *     close <session>
  *     <session> admit  <name> <srcTask> <dstTask> <bytes>
  *     <session> remove <name>
@@ -30,6 +30,7 @@
 #ifndef SRSIM_SERVER_PROTOCOL_HH_
 #define SRSIM_SERVER_PROTOCOL_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <string>
@@ -39,6 +40,15 @@
 
 namespace srsim {
 namespace server {
+
+/**
+ * Largest private thread budget (`threads=T`) a session may ask
+ * for. A constant rather than a function of the host, so a WAL or a
+ * snapshot one machine accepted replays the same on any other. The
+ * protocol, WAL decode, snapshot restore and the daemon's session
+ * builder all enforce it.
+ */
+constexpr std::size_t kMaxSessionThreads = 64;
 
 /** Everything an `open` line configures for one session. */
 struct SessionConfig
@@ -63,7 +73,7 @@ struct SessionConfig
     bool cache = true;
     /**
      * Private thread budget for this session's engine context;
-     * 0 shares the daemon's pool.
+     * 0 shares the daemon's pool. At most kMaxSessionThreads.
      */
     std::size_t threads = 0;
 };

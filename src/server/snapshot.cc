@@ -126,16 +126,20 @@ toNumber(BodyReader &r, const std::string &s)
     return v;
 }
 
-/** Exact u64 parse — toNumber() would clip seeds above 2^53. */
+/**
+ * "<key> <whole number in [lo, hi]>" — exact, where toNumber()
+ * would clip seeds above 2^53. `what` names the value in errors.
+ */
 std::uint64_t
-toU64(BodyReader &r, const std::string &s)
+expectUnsigned(BodyReader &r, const char *key, const char *what,
+               std::uint64_t lo, std::uint64_t hi)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (!end || *end != '\0' || s.empty()) {
-        r.fail("malformed integer '" + s + "'");
-        return 0;
-    }
+    const std::string s = expectKey(r, key);
+    std::uint64_t v = 0;
+    if (r.ok() && !parseUnsigned(s, lo, hi, &v))
+        r.fail(std::string("malformed ") + what + " '" + s +
+               "' (expected a whole number in [" + std::to_string(lo) +
+               ", " + std::to_string(hi) + "])");
     return v;
 }
 
@@ -226,7 +230,8 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
         r.fail("bad magic (expected '" + std::string(kMagic) + "')");
         return bail();
     }
-    snap->walSeq = toU64(r, expectKey(r, "walseq"));
+    snap->walSeq = expectUnsigned(r, "walseq", "WAL sequence", 0,
+                                  UINT64_MAX);
     const double nSessions = toNumber(r, expectKey(r, "sessions"));
     if (!r.ok() || nSessions < 0 || nSessions > 1e6) {
         r.fail("implausible session count");
@@ -242,20 +247,14 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
         s.cfg.bandwidth = toNumber(r, expectKey(r, "bw"));
         s.cfg.apSpeed = toNumber(r, expectKey(r, "ap"));
         s.cfg.alloc = expectKey(r, "alloc");
-        s.cfg.seed = toU64(r, expectKey(r, "seed"));
+        s.cfg.seed = expectUnsigned(r, "seed", "seed", 0, UINT64_MAX);
         s.cfg.cache =
             toNumber(r, expectKey(r, "cachesess")) != 0.0;
         // Optional: snapshots of sessions without a thread budget,
         // and those written before budgets were kept, omit it.
-        if (r.nextIs("threads")) {
-            const double t = toNumber(r, expectKey(r, "threads"));
-            if (!r.ok() || t < 1.0 || t > 1e6 ||
-                t != static_cast<double>(static_cast<std::size_t>(t))) {
-                r.fail("implausible thread budget");
-                return bail();
-            }
-            s.cfg.threads = static_cast<std::size_t>(t);
-        }
+        if (r.nextIs("threads"))
+            s.cfg.threads = expectUnsigned(
+                r, "threads", "thread budget", 1, kMaxSessionThreads);
         s.period = toNumber(r, expectKey(r, "period"));
         const double nTasks = toNumber(r, expectKey(r, "tasks"));
         if (!r.ok() || nTasks < 0 || nTasks > 1e6) {

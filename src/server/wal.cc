@@ -4,17 +4,17 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
-#include "engine/context.hh"
 #include "metrics/metrics.hh"
 #include "trace/trace.hh"
 #include "util/json.hh"
 #include "util/json_read.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace srsim {
 namespace server {
@@ -97,6 +97,20 @@ encodeWalRecord(const WalRecord &rec)
 
 namespace {
 
+/**
+ * A JSON number that is a whole value in [lo, hi]; throws otherwise
+ * (a float cast of an out-of-range double is undefined).
+ */
+std::uint64_t
+wholeNumber(const jsonmini::Value &v, const char *what, double lo,
+            double hi)
+{
+    const double d = v.number;
+    if (!(d >= lo && d <= hi && d == std::floor(d)))
+        throw std::runtime_error(std::string("bad ") + what);
+    return static_cast<std::uint64_t>(d);
+}
+
 /** Decode one WAL line; throws std::runtime_error on mismatch. */
 WalRecord
 decodeWalRecord(const std::string &line)
@@ -105,7 +119,8 @@ decodeWalRecord(const std::string &line)
     if (v->kind != jsonmini::Value::Kind::Object)
         throw std::runtime_error("record is not an object");
     WalRecord rec;
-    rec.seq = static_cast<std::uint64_t>(v->at("seq").number);
+    // Integers above 2^53 do not survive a JSON double.
+    rec.seq = wholeNumber(v->at("seq"), "seq", 0.0, 9007199254740992.0);
     const std::string op = v->at("op").string;
     rec.op.session = v->at("session").string;
     if (op == "open") {
@@ -118,16 +133,19 @@ decodeWalRecord(const std::string &line)
         sc.bandwidth = v->at("bw").number;
         sc.apSpeed = v->at("ap").number;
         sc.alloc = v->at("alloc").string;
-        sc.seed = std::strtoull(v->at("seed").string.c_str(),
-                                nullptr, 10);
+        // Seeds travel as strings: a double would clip them.
+        if (!parseUnsigned(v->at("seed").string, 0, UINT64_MAX,
+                           &sc.seed))
+            throw std::runtime_error("bad seed");
         sc.cache = v->at("cache").boolean;
         // Absent on records written before sessions carried thread
         // overrides: share the daemon's pool. Records written before
         // the solver-kind switch was retired may carry a "solver"
         // field; it is ignored.
         if (v->has("threads"))
-            sc.threads = static_cast<std::size_t>(
-                v->at("threads").number);
+            sc.threads = wholeNumber(
+                v->at("threads"), "threads", 1.0,
+                static_cast<double>(kMaxSessionThreads));
     } else if (op == "close") {
         rec.op.kind = DaemonOp::Kind::Close;
     } else if (op == "admit") {
@@ -212,14 +230,6 @@ readWal(const std::string &path)
     return out;
 }
 
-metrics::Registry &
-WriteAheadLog::reg() const
-{
-    return registry_ != nullptr
-               ? *registry_
-               : engine::resolve(nullptr).metricsRegistry();
-}
-
 WriteAheadLog::~WriteAheadLog()
 {
     close();
@@ -250,8 +260,8 @@ WriteAheadLog::append(const DaemonOp &op)
     pending_ += encodeWalRecord(rec);
     pending_ += '\n';
     ++appended_;
-    if (SRSIM_METRICS_ENABLED())
-        reg().counter("server.wal_records").add(1);
+    if (SRSIM_METRICS_ENABLED() && registry_ != nullptr)
+        registry_->counter("server.wal_records").add(1);
     return rec.seq;
 }
 
@@ -292,11 +302,11 @@ WriteAheadLog::sync()
         return false;
     }
     ++fsyncs_;
-    if (SRSIM_METRICS_ENABLED()) {
-        metrics::Registry &r = reg();
-        r.counter("server.wal_fsyncs").add(1);
-        r.histogram("server.wal_fsync_us",
-                    metrics::Histogram::timeBucketsUs())
+    if (SRSIM_METRICS_ENABLED() && registry_ != nullptr) {
+        registry_->counter("server.wal_fsyncs").add(1);
+        registry_
+            ->histogram("server.wal_fsync_us",
+                        metrics::Histogram::timeBucketsUs())
             .add(trace::Tracer::nowWallUs() - t0);
     }
     return true;

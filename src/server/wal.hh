@@ -109,8 +109,8 @@ class WriteAheadLog
 
     /**
      * Registry the server.wal_* metrics land in; nullptr (the
-     * default) resolves the process default registry. The daemon
-     * points this at its root context's registry before opening.
+     * default) records nothing. The daemon points this at its root
+     * context's registry before opening.
      */
     void setRegistry(metrics::Registry *r) { registry_ = r; }
 
@@ -122,9 +122,6 @@ class WriteAheadLog
     std::uint64_t fsyncs() const { return fsyncs_; }
 
   private:
-    /** Resolve the effective metrics registry (see setRegistry). */
-    metrics::Registry &reg() const;
-
     metrics::Registry *registry_ = nullptr;
     int fd_ = -1;
     std::string pending_;

@@ -221,9 +221,9 @@ struct SolveOptions
      * When set (and metrics are enabled), the dispatcher bumps
      * "solver.solves"/"solver.pivots" and the warm-start machinery
      * bumps "solver.warmstart.{hits,misses}" against this
-     * registry — a per-session child registry under the daemon, the
-     * process registry under the default context. nullptr records
-     * nothing (the process-wide SolverStats block still counts).
+     * registry — the caller's engine context's (a per-session child
+     * registry under the daemon). nullptr records nothing (the
+     * process-wide SolverStats block still counts).
      */
     metrics::Registry *registry = nullptr;
 };

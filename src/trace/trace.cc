@@ -49,13 +49,6 @@ eventTypeChar(EventType t)
     return '?';
 }
 
-Tracer &
-Tracer::instance()
-{
-    static Tracer t;
-    return t;
-}
-
 void
 Tracer::setEnabled(bool on)
 {
@@ -66,16 +59,15 @@ Tracer::Buffer &
 Tracer::threadBuffer()
 {
     // Keyed by tracer id: distinct tracers (per-context sinks) must
-    // never share one thread's buffer. Ids are not recycled, so a
-    // stale entry for a dead tracer can never be resolved again.
-    thread_local std::unordered_map<std::uint64_t,
-                                    std::shared_ptr<Buffer>>
-        bufs;
-    std::shared_ptr<Buffer> &buf = bufs[id_];
-    if (!buf) {
-        buf = std::make_shared<Buffer>();
+    // never share one thread's buffer. The tracer owns its buffers,
+    // so a dead tracer's events go with it; ids are not recycled, so
+    // a stale entry for a dead tracer can never be resolved again.
+    thread_local std::unordered_map<std::uint64_t, Buffer *> bufs;
+    Buffer *&buf = bufs[id_];
+    if (buf == nullptr) {
         std::lock_guard<std::mutex> lock(mu_);
-        buffers_.push_back(buf);
+        buffers_.push_back(std::make_unique<Buffer>());
+        buf = buffers_.back().get();
     }
     return *buf;
 }

@@ -107,17 +107,14 @@ struct Event
 
 /**
  * Event sink. All methods are thread-safe; record() is lock-free
- * after a thread's first event on a given tracer. The process-wide
- * instance() remains as the default engine context's sink; engine
- * contexts may own private tracers (each keeps its own per-thread
- * buffers — two tracers never share a buffer).
+ * after a thread's first event on a given tracer. Each root engine
+ * context owns one (children share their root's); each tracer keeps
+ * its own per-thread buffers — two tracers never share a buffer.
  */
 class Tracer
 {
   public:
     Tracer();
-
-    static Tracer &instance();
 
     /** Fast inlined guard used by every instrumentation site. */
     static bool
@@ -168,7 +165,7 @@ class Tracer
     const std::uint64_t id_;
 
     mutable std::mutex mu_;
-    std::vector<std::shared_ptr<Buffer>> buffers_;
+    std::vector<std::unique_ptr<Buffer>> buffers_;
 };
 
 /**
@@ -184,7 +181,7 @@ class ScopedPhase
     /**
      * Record against an explicit sink and registry — callers reach
      * both through their engine context (EngineContext::tracer() /
-     * metricsRegistry()), never through the process singletons.
+     * metricsRegistry()).
      */
     ScopedPhase(const char *name, Tracer &tracer,
                 metrics::Registry &registry);
@@ -203,7 +200,7 @@ class ScopedPhase
 
 // --- Typed recording helpers (no-ops when tracing is off) ---------
 // All take the destination tracer explicitly; callers route through
-// their engine context rather than the process-wide instance.
+// their engine context.
 
 void linkAcquire(Tracer &t, std::int32_t link,
                  const std::string &msgName, std::int32_t msg,

@@ -156,7 +156,8 @@ struct WormholeSimulator::Impl
     metrics::LinkTimeline *timeline = nullptr;
 
     Impl(WormholeSimulator &s, const WormholeConfig &c)
-        : sim(s), cfg(c), ectx(engine::resolve(c.ctx)),
+        : sim(s), cfg(c),
+          ectx(engine::require(c.ctx, "WormholeSimulator::run")),
           tracer(ectx.tracer())
     {
         if (metering) {

@@ -71,8 +71,7 @@ struct WormholeConfig
     bool fairShare = false;
     /**
      * Engine context whose tracer receives the simulation events
-     * and whose registry counts wormhole.* metrics. nullptr uses
-     * the process default context.
+     * and whose registry counts wormhole.* metrics. Required.
      */
     const engine::EngineContext *ctx = nullptr;
 };

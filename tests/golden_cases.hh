@@ -83,13 +83,13 @@ struct GoldenInputs
     TaskAllocation alloc;
     SrCompilerConfig cfg;
 
-    GoldenInputs(const GoldenCase &gc, const engine::EngineContext *ctx)
+    GoldenInputs(const GoldenCase &gc, const engine::EngineContext &ctx)
         : g(buildDvbTfg(DvbParams{})), topo(makeTopology(gc.topoSpec)),
           alloc(alloc::roundRobin(g, *topo, 13))
     {
         tm.apSpeed = DvbParams{}.matchedApSpeed();
         tm.bandwidth = gc.bandwidth;
-        cfg.ctx = ctx;
+        cfg.ctx = &ctx;
         cfg.inputPeriod = gc.periodFactor * tm.tauC(g);
     }
 
@@ -110,13 +110,11 @@ struct GoldenInputs
  * Compile one case and serialize the (possibly repaired) schedule —
  * exactly the bytes its tests/golden/<name>.sched must hold.
  * FatalError when the case is infeasible (the table itself is then
- * broken). `ctx` lets a caller pin the engine context (e.g. a
- * child whose registry isolates the case's counters); nullptr uses
- * the process default.
+ * broken). The case compiles under `ctx` (e.g. a child whose
+ * registry isolates the case's counters).
  */
 inline std::string
-compileGoldenCase(const GoldenCase &gc,
-                  const engine::EngineContext *ctx = nullptr)
+compileGoldenCase(const GoldenCase &gc, const engine::EngineContext &ctx)
 {
     const GoldenInputs in(gc, ctx);
     const SrCompileResult r = in.compile(gc);

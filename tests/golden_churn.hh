@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/schedule_io.hh"
+#include "engine/context.hh"
 #include "mapping/allocation.hh"
 #include "online/script.hh"
 #include "online/service.hh"
@@ -86,7 +87,8 @@ churnCases()
  * re-solves instead of reusing that state's schedule.
  */
 inline std::unique_ptr<online::OnlineScheduler>
-makeChurnService(bool scheduleCache = true)
+makeChurnService(const engine::EngineContext &ctx,
+                 bool scheduleCache = true)
 {
     const DvbParams dvb;
     TaskFlowGraph g = buildDvbTfg(dvb);
@@ -95,7 +97,7 @@ makeChurnService(bool scheduleCache = true)
     tm.apSpeed = dvb.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
-    online::OnlineSchedulerConfig cfg;
+    online::OnlineSchedulerConfig cfg{.compiler = {.ctx = &ctx}};
     cfg.compiler.inputPeriod = 2.4 * tm.tauC(g);
     if (!scheduleCache)
         cfg.cacheCapacity = 0;
@@ -121,10 +123,11 @@ struct ChurnRun
  * paths); FatalError otherwise.
  */
 inline ChurnRun
-runChurnCase(const ChurnCase &cc, bool scheduleCache)
+runChurnCase(const ChurnCase &cc, const engine::EngineContext &ctx,
+             bool scheduleCache)
 {
     ChurnRun run;
-    const auto svc = makeChurnService(scheduleCache);
+    const auto svc = makeChurnService(ctx, scheduleCache);
     run.start = svc->start();
     if (!run.start.accepted)
         fatal("churn case '", cc.name,
@@ -155,9 +158,9 @@ runChurnCase(const ChurnCase &cc, bool scheduleCache)
 
 /** Run one scenario as the table pins it. */
 inline ChurnRun
-runChurnCase(const ChurnCase &cc)
+runChurnCase(const ChurnCase &cc, const engine::EngineContext &ctx)
 {
-    return runChurnCase(cc, cc.scheduleCache);
+    return runChurnCase(cc, ctx, cc.scheduleCache);
 }
 
 } // namespace golden

@@ -10,6 +10,7 @@
 #include "cpsim/cp_simulator.hh"
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "tfg/timing.hh"
@@ -19,17 +20,22 @@
 namespace srsim {
 namespace {
 
+using CpSimTest = EngineTest;
+
 /** Compile a feasible DVB schedule to execute / corrupt. */
-struct CpSimFixture : public ::testing::Test
+struct CpSimFixture : public EngineTest
 {
     TaskFlowGraph g = buildDvbTfg({});
     GeneralizedHypercube cube = GeneralizedHypercube::binaryCube(6);
     TimingModel tm;
     TaskAllocation alloc{1, 1};
     SrCompileResult sr;
+    /** Default run settings under the test's root context. */
+    CpSimConfig plain;
 
     CpSimFixture() : alloc(alloc::roundRobin(g, cube, 13))
     {
+        plain.ctx = &root;
         DvbParams dp;
         tm.apSpeed = dp.matchedApSpeed();
         tm.bandwidth = 128.0;
@@ -38,7 +44,7 @@ struct CpSimFixture : public ::testing::Test
     void
     SetUp() override
     {
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &root};
         cfg.inputPeriod = 2.0 * tm.tauC(g);
         sr = compileScheduledRouting(g, cube, alloc, tm, cfg);
         ASSERT_TRUE(sr.feasible) << sr.detail;
@@ -48,7 +54,7 @@ struct CpSimFixture : public ::testing::Test
 TEST_F(CpSimFixture, VerifiedScheduleRunsClean)
 {
     const CpSimResult r =
-        simulateCps(g, cube, alloc, tm, sr.bounds, sr.omega);
+        simulateCps(g, cube, alloc, tm, sr.bounds, sr.omega, plain);
     EXPECT_TRUE(r.ok()) << (r.violations.empty()
                                 ? ""
                                 : r.violations.front());
@@ -57,7 +63,7 @@ TEST_F(CpSimFixture, VerifiedScheduleRunsClean)
 
 TEST_F(CpSimFixture, ThroughputIsConstantAndEqualsPeriod)
 {
-    CpSimConfig cfg;
+    CpSimConfig cfg{.ctx = &root};
     cfg.invocations = 40;
     cfg.warmup = 8;
     const CpSimResult r =
@@ -70,14 +76,14 @@ TEST_F(CpSimFixture, ThroughputIsConstantAndEqualsPeriod)
 
 TEST_F(CpSimFixture, AgreesWithAnalyticExecutor)
 {
-    CpSimConfig cfg;
+    CpSimConfig cfg{.ctx = &root};
     cfg.invocations = 25;
     cfg.warmup = 5;
     const CpSimResult dyn =
         simulateCps(g, cube, alloc, tm, sr.bounds, sr.omega, cfg);
     ASSERT_TRUE(dyn.ok());
     const SrExecutionResult ana = executeSchedule(
-        g, alloc, tm, sr.bounds, sr.omega, cfg.invocations);
+        g, alloc, tm, sr.bounds, sr.omega, cfg.invocations, root);
     ASSERT_EQ(dyn.completions.size(), ana.completions.size());
     for (std::size_t j = 0; j < dyn.completions.size(); ++j)
         EXPECT_NEAR(dyn.completions[j], ana.completions[j], 1e-6)
@@ -92,7 +98,7 @@ TEST_F(CpSimFixture, DetectsInjectedLinkContention)
     bad.paths.paths[1] = bad.paths.paths[0];
     bad.segments[1] = bad.segments[0];
     const CpSimResult r =
-        simulateCps(g, cube, alloc, tm, sr.bounds, bad);
+        simulateCps(g, cube, alloc, tm, sr.bounds, bad, plain);
     ASSERT_FALSE(r.ok());
     bool found = false;
     for (const std::string &v : r.violations)
@@ -115,7 +121,7 @@ TEST_F(CpSimFixture, DetectsPrematureTransmission)
     bad.segments[victim].front() =
         TimeWindow{new_start, new_start + len};
     const CpSimResult r =
-        simulateCps(g, cube, alloc, tm, sr.bounds, bad);
+        simulateCps(g, cube, alloc, tm, sr.bounds, bad, plain);
     ASSERT_FALSE(r.ok());
     bool found = false;
     for (const std::string &v : r.violations)
@@ -129,7 +135,7 @@ TEST_F(CpSimFixture, DetectsShortDelivery)
     GlobalSchedule bad = sr.omega;
     bad.segments[2].back().end -= 0.5; // drop half a microsecond
     const CpSimResult r =
-        simulateCps(g, cube, alloc, tm, sr.bounds, bad);
+        simulateCps(g, cube, alloc, tm, sr.bounds, bad, plain);
     ASSERT_FALSE(r.ok());
     bool found = false;
     for (const std::string &v : r.violations)
@@ -148,7 +154,7 @@ TEST_F(CpSimFixture, DetectsDeadlineMiss)
     w.start += shift;
     w.end += shift;
     const CpSimResult r =
-        simulateCps(g, cube, alloc, tm, sr.bounds, bad);
+        simulateCps(g, cube, alloc, tm, sr.bounds, bad, plain);
     ASSERT_FALSE(r.ok());
     bool found = false;
     for (const std::string &v : r.violations)
@@ -165,7 +171,7 @@ TEST_F(CpSimFixture, RepeatedViolationsAreDeduplicated)
     // of flooding one line per invocation.
     bad.paths.paths[1] = bad.paths.paths[0];
     bad.segments[1] = bad.segments[0];
-    CpSimConfig cfg;
+    CpSimConfig cfg{.ctx = &root};
     cfg.invocations = 20;
     const CpSimResult r =
         simulateCps(g, cube, alloc, tm, sr.bounds, bad, cfg);
@@ -195,7 +201,7 @@ TEST_F(CpSimFixture, StopOnViolationAborts)
     GlobalSchedule bad = sr.omega;
     bad.paths.paths[1] = bad.paths.paths[0];
     bad.segments[1] = bad.segments[0];
-    CpSimConfig cfg;
+    CpSimConfig cfg{.ctx = &root};
     cfg.stopOnViolation = true;
     const CpSimResult r =
         simulateCps(g, cube, alloc, tm, sr.bounds, bad, cfg);
@@ -203,7 +209,7 @@ TEST_F(CpSimFixture, StopOnViolationAborts)
     EXPECT_EQ(r.violations.size(), 1u);
 }
 
-TEST(CpSimTest, WorksOnTorusSchedules)
+TEST_F(CpSimTest, WorksOnTorusSchedules)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const Torus torus({4, 4, 4});
@@ -212,13 +218,14 @@ TEST(CpSimTest, WorksOnTorusSchedules)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, torus, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = tm.tauC(g); // maximum load
     const SrCompileResult sr =
         compileScheduledRouting(g, torus, alloc, tm, cfg);
     ASSERT_TRUE(sr.feasible) << sr.detail;
+    CpSimConfig plain{.ctx = &root};
     const CpSimResult r =
-        simulateCps(g, torus, alloc, tm, sr.bounds, sr.omega);
+        simulateCps(g, torus, alloc, tm, sr.bounds, sr.omega, plain);
     EXPECT_TRUE(r.ok()) << (r.violations.empty()
                                 ? ""
                                 : r.violations.front());
@@ -226,7 +233,7 @@ TEST(CpSimTest, WorksOnTorusSchedules)
                 1e-6);
 }
 
-TEST(CpSimTest, MismatchedScheduleIsFatal)
+TEST_F(CpSimTest, MismatchedScheduleIsFatal)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -239,7 +246,8 @@ TEST(CpSimTest, MismatchedScheduleIsFatal)
         computeTimeBounds(g, alloc, tm, 2.0 * tm.tauC(g));
     GlobalSchedule empty;
     empty.period = tb.inputPeriod;
-    EXPECT_THROW(simulateCps(g, cube, alloc, tm, tb, empty),
+    CpSimConfig plain{.ctx = &root};
+    EXPECT_THROW(simulateCps(g, cube, alloc, tm, tb, empty, plain),
                  FatalError);
 }
 

@@ -1,16 +1,22 @@
 /**
  * @file
- * Engine-context suite: child-context overrides (thread budget,
- * seed), and the write-through metrics contract that keeps parent
- * aggregates exact while each child registry shows only its own
- * activity.
+ * Engine-context suite: root contexts own their services, a null
+ * context at an entry point panics, child-context overrides (thread
+ * budget, seed), and the write-through metrics contract that keeps
+ * parent aggregates exact while each child registry shows only its
+ * own activity.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/sr_compiler.hh"
 #include "engine/context.hh"
+#include "engine_fixture.hh"
 #include "metrics/metrics.hh"
 #include "solver/lp.hh"
+#include "topology/generalized_hypercube.hh"
+#include "trace/trace.hh"
+#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace srsim {
@@ -19,10 +25,53 @@ namespace {
 using engine::ChildOptions;
 using engine::EngineContext;
 
-TEST(EngineContextChild, SolveOptionsCountIntoTheChildRegistry)
+using EngineContextChild = EngineTest;
+
+TEST(EngineContextRoot, OwnsItsRegistryAndTracerButSharesTheCores)
+{
+    const EngineContext a;
+    const EngineContext b;
+    EXPECT_NE(&a.metricsRegistry(), &b.metricsRegistry());
+    EXPECT_NE(&a.tracer(), &b.tracer());
+    EXPECT_EQ(&a.pool(), &ThreadPool::global());
+    EXPECT_EQ(&b.pool(), &ThreadPool::global());
+
+    metrics::Registry::setEnabled(true);
+    a.metricsRegistry().counter("ctx.test.root").add(2);
+    metrics::Registry::setEnabled(false);
+    EXPECT_EQ(a.metricsRegistry().counter("ctx.test.root").value(), 2u);
+    EXPECT_EQ(b.metricsRegistry().counter("ctx.test.root").value(), 0u);
+}
+
+TEST(EngineContextRoot, NullContextAtAnEntryPointPanics)
+{
+    TaskFlowGraph g;
+    const TaskId a = g.addTask("a", 10.0);
+    const TaskId b = g.addTask("b", 10.0);
+    g.addMessage("m", a, b, 64.0);
+    const GeneralizedHypercube cube =
+        GeneralizedHypercube::binaryCube(2);
+    TaskAllocation alloc(2, 4);
+    alloc.assign(a, 0);
+    alloc.assign(b, 3);
+    TimingModel tm;
+    tm.apSpeed = 1.0;
+    tm.bandwidth = 64.0;
+    SrCompilerConfig cfg;
+    cfg.inputPeriod = 20.0;
+    EXPECT_THROW(compileScheduledRouting(g, cube, alloc, tm, cfg),
+                 PanicError);
+    EXPECT_THROW(engine::require(nullptr, "test"), PanicError);
+
+    const EngineContext root;
+    cfg.ctx = &root;
+    EXPECT_TRUE(
+        compileScheduledRouting(g, cube, alloc, tm, cfg).feasible);
+}
+
+TEST_F(EngineContextChild, SolveOptionsCountIntoTheChildRegistry)
 {
     metrics::Registry::setEnabled(true);
-    EngineContext &root = EngineContext::processDefault();
     ChildOptions co;
     co.name = "solve-opts";
     const auto c = root.createChild(co);
@@ -42,9 +91,8 @@ TEST(EngineContextChild, SolveOptionsCountIntoTheChildRegistry)
     metrics::Registry::setEnabled(false);
 }
 
-TEST(EngineContextChild, RegistryWritesThroughAndIsolates)
+TEST_F(EngineContextChild, RegistryWritesThroughAndIsolates)
 {
-    EngineContext &root = EngineContext::processDefault();
     ChildOptions ao, bo;
     ao.name = "a";
     bo.name = "b";
@@ -78,9 +126,8 @@ TEST(EngineContextChild, RegistryWritesThroughAndIsolates)
         rootBefore + 10u);
 }
 
-TEST(EngineContextChild, PoolSharedUnlessBudgeted)
+TEST_F(EngineContextChild, PoolSharedUnlessBudgeted)
 {
-    EngineContext &root = EngineContext::processDefault();
     ChildOptions shared;
     shared.name = "shared";
     const auto s = root.createChild(shared);
@@ -97,9 +144,8 @@ TEST(EngineContextChild, PoolSharedUnlessBudgeted)
     EXPECT_EQ(&b->tracer(), &root.tracer());
 }
 
-TEST(EngineContextChild, DeriveSeedIsDeterministicAndStreamed)
+TEST_F(EngineContextChild, DeriveSeedIsDeterministicAndStreamed)
 {
-    EngineContext &root = EngineContext::processDefault();
     ChildOptions co;
     co.name = "seeded";
     co.baseSeed = 777;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/context.hh"
 #include "exp/experiment.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
@@ -41,6 +42,7 @@ TEST(LoadSweepTest, ConfigurablePointCountAndRange)
 
 struct SmallExperiment
 {
+    engine::EngineContext root;
     DvbParams dp;
     TaskFlowGraph g;
     GeneralizedHypercube cube = GeneralizedHypercube::binaryCube(4);
@@ -54,6 +56,7 @@ struct SmallExperiment
     {
         tm.apSpeed = dp.matchedApSpeed();
         tm.bandwidth = 128.0;
+        cfg.sr.ctx = &root;
         cfg.numLoadPoints = 5;
         cfg.invocations = 25;
         cfg.warmup = 5;

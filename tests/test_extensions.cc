@@ -15,6 +15,7 @@
 #include "core/schedule_io.hh"
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "tfg/timing.hh"
@@ -25,11 +26,17 @@
 namespace srsim {
 namespace {
 
+using CoupledAllocationTest = EngineTest;
+using FeedbackTest = EngineTest;
+using GuardTimeTest = EngineTest;
+using ScheduleIoTest = EngineTest;
+using VirtualChannelTest = EngineTest;
+
 // ---------------------------------------------------------------
 // Virtual-channel wormhole model.
 // ---------------------------------------------------------------
 
-TEST(VirtualChannelTest, HalvedBandwidthDoublesTransmission)
+TEST_F(VirtualChannelTest, HalvedBandwidthDoublesTransmission)
 {
     TaskFlowGraph g;
     const TaskId a = g.addTask("a", 100.0);
@@ -43,7 +50,7 @@ TEST(VirtualChannelTest, HalvedBandwidthDoublesTransmission)
     alloc.assign(0, 0);
     alloc.assign(1, 1);
     WormholeSimulator sim(g, cube, alloc, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 100.0;
     cfg.invocations = 4;
     cfg.warmup = 1;
@@ -57,7 +64,7 @@ TEST(VirtualChannelTest, HalvedBandwidthDoublesTransmission)
     EXPECT_DOUBLE_EQ(vc.records[0].latency(), 40.0);
 }
 
-TEST(VirtualChannelTest, TwoMessagesShareALink)
+TEST_F(VirtualChannelTest, TwoMessagesShareALink)
 {
     // Two messages over the same single link, same release: with
     // 2 VCs they ride together at half bandwidth instead of
@@ -80,7 +87,7 @@ TEST(VirtualChannelTest, TwoMessagesShareALink)
     a.assign(2, 1);
     a.assign(3, 1);
     WormholeSimulator sim(g, ring, a, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 200.0;
     cfg.invocations = 3;
     cfg.warmup = 0;
@@ -99,7 +106,7 @@ TEST(VirtualChannelTest, TwoMessagesShareALink)
     EXPECT_FALSE(vc.deadlocked);
 }
 
-TEST(VirtualChannelTest, ResolvesPlainModelDeadlock)
+TEST_F(VirtualChannelTest, ResolvesPlainModelDeadlock)
 {
     // The 6-ring deadlock scenario of the wormhole tests: with two
     // virtual channels per link the wait-for cycle cannot close.
@@ -125,7 +132,7 @@ TEST(VirtualChannelTest, ResolvesPlainModelDeadlock)
     a.assign(ma_s, 4);
     a.assign(ma_d, 2);
     WormholeSimulator sim(g, ring, a, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 1000.0;
     cfg.invocations = 2;
     cfg.warmup = 0;
@@ -135,7 +142,7 @@ TEST(VirtualChannelTest, ResolvesPlainModelDeadlock)
     EXPECT_FALSE(sim.run(cfg).deadlocked);
 }
 
-TEST(VirtualChannelTest, ZeroChannelsRejected)
+TEST_F(VirtualChannelTest, ZeroChannelsRejected)
 {
     TaskFlowGraph g;
     g.addTask("only", 10.0);
@@ -144,7 +151,7 @@ TEST(VirtualChannelTest, ZeroChannelsRejected)
     TaskAllocation a(1, 4);
     a.assign(0, 0);
     WormholeSimulator sim(g, cube, a, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 10.0;
     cfg.virtualChannels = 0;
     EXPECT_THROW(sim.run(cfg), FatalError);
@@ -154,7 +161,7 @@ TEST(VirtualChannelTest, ZeroChannelsRejected)
 // Compiler feedback.
 // ---------------------------------------------------------------
 
-TEST(FeedbackTest, RoundsUsedStaysZeroOnFirstTrySuccess)
+TEST_F(FeedbackTest, RoundsUsedStaysZeroOnFirstTrySuccess)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -163,7 +170,7 @@ TEST(FeedbackTest, RoundsUsedStaysZeroOnFirstTrySuccess)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 3.0 * tm.tauC(g);
     cfg.feedbackRounds = 3;
     const SrCompileResult r =
@@ -172,7 +179,7 @@ TEST(FeedbackTest, RoundsUsedStaysZeroOnFirstTrySuccess)
     EXPECT_EQ(r.feedbackRoundsUsed, 0);
 }
 
-TEST(FeedbackTest, NeverHurtsFeasibility)
+TEST_F(FeedbackTest, NeverHurtsFeasibility)
 {
     // Across the load sweep, enabling feedback can only turn
     // failures into successes, never the reverse (round 0 uses the
@@ -185,7 +192,7 @@ TEST(FeedbackTest, NeverHurtsFeasibility)
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, torus, 13);
     for (double f : {1.0, 1.5, 2.2, 3.0}) {
-        SrCompilerConfig base;
+        SrCompilerConfig base{.ctx = &root};
         base.inputPeriod = f * tm.tauC(g);
         const bool without =
             compileScheduledRouting(g, torus, alloc, tm, base)
@@ -200,7 +207,7 @@ TEST(FeedbackTest, NeverHurtsFeasibility)
     }
 }
 
-TEST(FeedbackTest, LsdPathsDoNotLoop)
+TEST_F(FeedbackTest, LsdPathsDoNotLoop)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const Torus torus({8, 8});
@@ -209,7 +216,7 @@ TEST(FeedbackTest, LsdPathsDoNotLoop)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 64.0;
     const TaskAllocation alloc = alloc::roundRobin(g, torus, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 5.0 * tm.tauC(g);
     cfg.useAssignPaths = false;
     cfg.feedbackRounds = 5;
@@ -224,7 +231,7 @@ TEST(FeedbackTest, LsdPathsDoNotLoop)
 // Guard margins.
 // ---------------------------------------------------------------
 
-TEST(GuardTimeTest, ScheduleStillVerifiesWithGuard)
+TEST_F(GuardTimeTest, ScheduleStillVerifiesWithGuard)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -233,7 +240,7 @@ TEST(GuardTimeTest, ScheduleStillVerifiesWithGuard)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 3.0 * tm.tauC(g);
     cfg.scheduling.guardTime = 0.25;
     const SrCompileResult r =
@@ -246,11 +253,11 @@ TEST(GuardTimeTest, ScheduleStillVerifiesWithGuard)
                     r.bounds.messages[i].duration, 1e-6);
     }
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 30);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 30, root);
     EXPECT_TRUE(ex.consistent(5));
 }
 
-TEST(GuardTimeTest, LargeGuardCausesSchedulingFailure)
+TEST_F(GuardTimeTest, LargeGuardCausesSchedulingFailure)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -259,7 +266,7 @@ TEST(GuardTimeTest, LargeGuardCausesSchedulingFailure)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = tm.tauC(g); // maximum load, no slack left
     cfg.scheduling.guardTime = 20.0; // huge vs tau_c = 50
     const SrCompileResult r =
@@ -267,7 +274,7 @@ TEST(GuardTimeTest, LargeGuardCausesSchedulingFailure)
     EXPECT_FALSE(r.feasible);
 }
 
-TEST(GuardTimeTest, GuardMonotonicallyShrinksFeasibility)
+TEST_F(GuardTimeTest, GuardMonotonicallyShrinksFeasibility)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -278,7 +285,7 @@ TEST(GuardTimeTest, GuardMonotonicallyShrinksFeasibility)
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
     bool prev_feasible = true;
     for (double guard : {0.0, 0.5, 2.0, 10.0, 30.0}) {
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &root};
         cfg.inputPeriod = 1.2 * tm.tauC(g);
         cfg.scheduling.guardTime = guard;
         const bool feas =
@@ -296,7 +303,7 @@ TEST(GuardTimeTest, GuardMonotonicallyShrinksFeasibility)
 // Coupled allocation.
 // ---------------------------------------------------------------
 
-TEST(CoupledAllocationTest, NeverWorseThanSeed)
+TEST_F(CoupledAllocationTest, NeverWorseThanSeed)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -309,11 +316,12 @@ TEST(CoupledAllocationTest, NeverWorseThanSeed)
     const TaskAllocation seed = alloc::greedy(g, cube);
     Rng rng(11);
     const CoupledAllocationResult res = coupleAllocationWithPaths(
-        g, cube, tm, period, seed, rng);
+        g, cube, tm, period, seed, rng, root);
     EXPECT_TRUE(res.allocation.complete());
 
     // Score both with the same short AssignPaths effort.
     CoupledAllocationOptions opts;
+    opts.scoring.ctx = &root;
     const TimeBounds tb_seed =
         computeTimeBounds(g, seed, tm, period);
     const IntervalSet ivs_seed(tb_seed);
@@ -323,7 +331,7 @@ TEST(CoupledAllocationTest, NeverWorseThanSeed)
     EXPECT_LE(res.peakUtilization, seed_u + 1e-6);
 }
 
-TEST(CoupledAllocationTest, RecoversInfeasibleGreedySeed)
+TEST_F(CoupledAllocationTest, RecoversInfeasibleGreedySeed)
 {
     // The greedy allocation pins the DVB fan-in to four cube
     // dimensions (U stuck at 1.44 at B = 64); the coupled search
@@ -338,14 +346,14 @@ TEST(CoupledAllocationTest, RecoversInfeasibleGreedySeed)
     const Time period = 4.0 * tm.tauC(g);
 
     const TaskAllocation seed = alloc::greedy(g, cube);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = period;
     ASSERT_FALSE(
         compileScheduledRouting(g, cube, seed, tm, cfg).feasible);
 
     Rng rng(3);
     const CoupledAllocationResult res = coupleAllocationWithPaths(
-        g, cube, tm, period, seed, rng);
+        g, cube, tm, period, seed, rng, root);
     // U <= 1 is necessary but not sufficient for the allocation
     // stage; give the compiler its Fig. 3 feedback rounds (the
     // production recovery path) so a low-U allocation whose first
@@ -359,7 +367,7 @@ TEST(CoupledAllocationTest, RecoversInfeasibleGreedySeed)
         << r.detail;
 }
 
-TEST(CoupledAllocationTest, IncompleteSeedIsStructuredFailure)
+TEST_F(CoupledAllocationTest, IncompleteSeedIsStructuredFailure)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -368,7 +376,7 @@ TEST(CoupledAllocationTest, IncompleteSeedIsStructuredFailure)
     TaskAllocation seed(g.numTasks(), cube.numNodes());
     Rng rng(1);
     const CoupledAllocationResult res =
-        coupleAllocationWithPaths(g, cube, tm, 100.0, seed, rng);
+        coupleAllocationWithPaths(g, cube, tm, 100.0, seed, rng, root);
     EXPECT_FALSE(res.ok);
     EXPECT_FALSE(res.error.empty());
     EXPECT_EQ(res.accepted, 0);
@@ -378,7 +386,7 @@ TEST(CoupledAllocationTest, IncompleteSeedIsStructuredFailure)
 // Schedule serialization.
 // ---------------------------------------------------------------
 
-TEST(ScheduleIoTest, RoundTripPreservesSchedule)
+TEST_F(ScheduleIoTest, RoundTripPreservesSchedule)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -387,7 +395,7 @@ TEST(ScheduleIoTest, RoundTripPreservesSchedule)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 1.5 * tm.tauC(g);
     const SrCompileResult r =
         compileScheduledRouting(g, cube, alloc, tm, cfg);
@@ -414,7 +422,7 @@ TEST(ScheduleIoTest, RoundTripPreservesSchedule)
     EXPECT_TRUE(v.ok);
 }
 
-TEST(ScheduleIoTest, RejectsBadMagic)
+TEST_F(ScheduleIoTest, RejectsBadMagic)
 {
     std::stringstream ss;
     ss << "not a schedule\n";
@@ -422,7 +430,7 @@ TEST(ScheduleIoTest, RejectsBadMagic)
     EXPECT_THROW(readSchedule(ss, cube), FatalError);
 }
 
-TEST(ScheduleIoTest, RejectsTruncatedFile)
+TEST_F(ScheduleIoTest, RejectsTruncatedFile)
 {
     std::stringstream ss;
     ss << "srsim-schedule v1\nperiod 100\nmessages 2\n";
@@ -430,7 +438,7 @@ TEST(ScheduleIoTest, RejectsTruncatedFile)
     EXPECT_THROW(readSchedule(ss, cube), FatalError);
 }
 
-TEST(ScheduleIoTest, RejectsNonAdjacentPath)
+TEST_F(ScheduleIoTest, RejectsNonAdjacentPath)
 {
     std::stringstream ss;
     ss << "srsim-schedule v1\n"

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/tfg.hh"
 #include "tfg/timing.hh"
@@ -21,7 +22,9 @@
 namespace srsim {
 namespace {
 
-TEST(FairShareTest, UncontendedMessageKeepsFullBandwidth)
+using FairShareTest = EngineTest;
+
+TEST_F(FairShareTest, UncontendedMessageKeepsFullBandwidth)
 {
     TaskFlowGraph g;
     const TaskId a = g.addTask("a", 100.0);
@@ -35,7 +38,7 @@ TEST(FairShareTest, UncontendedMessageKeepsFullBandwidth)
     alloc.assign(0, 0);
     alloc.assign(1, 1);
     WormholeSimulator sim(g, cube, alloc, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 100.0;
     cfg.invocations = 3;
     cfg.warmup = 0;
@@ -49,7 +52,7 @@ TEST(FairShareTest, UncontendedMessageKeepsFullBandwidth)
     EXPECT_NEAR(r.records[0].latency(), 30.0, 1e-6);
 }
 
-TEST(FairShareTest, TwoSharersSplitTheLink)
+TEST_F(FairShareTest, TwoSharersSplitTheLink)
 {
     // m1: 0 -> 1 and m2: 3 -> 0 -> 1 share link 0-1 from t=10
     // (sources on different nodes so both inject simultaneously);
@@ -72,7 +75,7 @@ TEST(FairShareTest, TwoSharersSplitTheLink)
     a.assign(3, 1);
     WormholeSimulator sim(g, ring, a, tm);
     ASSERT_EQ(sim.pathOf(1).nodes, (std::vector<NodeId>{3, 0, 1}));
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 200.0;
     cfg.invocations = 3;
     cfg.warmup = 0;
@@ -85,7 +88,7 @@ TEST(FairShareTest, TwoSharersSplitTheLink)
     EXPECT_NEAR(r.records[0].latency(), 50.0, 1e-6);
 }
 
-TEST(FairShareTest, RateRecomputedWhenASharerLeaves)
+TEST_F(FairShareTest, RateRecomputedWhenASharerLeaves)
 {
     // m1 (0 -> 1, 960 B) and m2 (3 -> 0 -> 1, 320 B) share link
     // 0-1 from t=10.
@@ -110,7 +113,7 @@ TEST(FairShareTest, RateRecomputedWhenASharerLeaves)
     a.assign(3, 1);
     WormholeSimulator sim(g, ring, a, tm);
     ASSERT_EQ(sim.pathOf(1).nodes, (std::vector<NodeId>{3, 0, 1}));
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 500.0;
     cfg.invocations = 2;
     cfg.warmup = 0;
@@ -123,7 +126,7 @@ TEST(FairShareTest, RateRecomputedWhenASharerLeaves)
     EXPECT_NEAR(r.records[0].latency(), 40.0, 1e-6);
 }
 
-TEST(FairShareTest, ThroughputConservedUnderSaturation)
+TEST_F(FairShareTest, ThroughputConservedUnderSaturation)
 {
     // The Sec. 3 scenario under fair sharing with the shared link
     // near saturation: whatever the contention pattern, the mean
@@ -144,7 +147,7 @@ TEST(FairShareTest, ThroughputConservedUnderSaturation)
     a.assign(B, 1);
     a.assign(C, 0);
     WormholeSimulator sim(g, ring, a, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     // Node 0's AP carries 100 us of work per period and the shared
     // link 50 us, so 104 us is just above saturation.
     cfg.inputPeriod = 104.0;
@@ -161,7 +164,7 @@ TEST(FairShareTest, ThroughputConservedUnderSaturation)
                 0.1 * cfg.inputPeriod);
 }
 
-TEST(FairShareTest, FairShareRequiresMultipleChannels)
+TEST_F(FairShareTest, FairShareRequiresMultipleChannels)
 {
     TaskFlowGraph g;
     g.addTask("only", 10.0);
@@ -170,7 +173,7 @@ TEST(FairShareTest, FairShareRequiresMultipleChannels)
     TaskAllocation a(1, 4);
     a.assign(0, 0);
     WormholeSimulator sim(g, cube, a, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 10.0;
     cfg.virtualChannels = 1;
     cfg.fairShare = true; // meaningless without VCs

@@ -21,6 +21,7 @@
 #include "core/sr_compiler.hh"
 #include "core/verifier.hh"
 #include "cpsim/cp_simulator.hh"
+#include "engine_fixture.hh"
 #include "fault/fault.hh"
 #include "fault/repair.hh"
 #include "mapping/allocation.hh"
@@ -34,10 +35,13 @@
 namespace srsim {
 namespace {
 
+using FaultRepair = EngineTest;
+
 // ----- the acceptance fixture: DVB on the 4x4x4 torus -------------
 
 struct Dvb444
 {
+    engine::EngineContext root;
     TaskFlowGraph g;
     std::unique_ptr<Topology> topo;
     TimingModel tm;
@@ -51,6 +55,7 @@ struct Dvb444
     {
         tm.apSpeed = DvbParams{}.matchedApSpeed();
         tm.bandwidth = 128.0;
+        cfg.ctx = &root;
         cfg.inputPeriod = 2.4 * tm.tauC(g);
         healthy = compileScheduledRouting(g, *topo, alloc, tm, cfg);
     }
@@ -117,6 +122,12 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_THROW(fault::parseFaultSpec("link:#4@-3"), FatalError);
     EXPECT_THROW(fault::parseFaultSpec("derate:#3=nan"), FatalError);
     EXPECT_THROW(fault::parseFaultSpec("link:#4@inf"), FatalError);
+    // Ids, counts and seeds are whole numbers, never float casts.
+    for (const char *spec :
+         {"link:#1e300", "link:#1.5", "link:#-1", "link:1.0-2",
+          "node:+3", "rand:1.5:2", "rand:2:1e300", "rand:2:-1",
+          "link:#99999999999"})
+        EXPECT_THROW(fault::parseFaultSpec(spec), FatalError) << spec;
 }
 
 TEST(FaultSpec, ResolutionBindsAndValidates)
@@ -198,11 +209,10 @@ TEST(FaultMask, DerateScalesCapacityNotStructure)
 
 // ----- incremental repair: the acceptance case ---------------------
 
-TEST(FaultRepair, OneFailedLinkRepairsIncrementally)
+TEST_F(FaultRepair, OneFailedLinkRepairsIncrementally)
 {
     Dvb444 f;
     ASSERT_TRUE(f.healthy.feasible);
-    metrics::Registry::global().clear();
     metrics::Registry::setEnabled(true);
 
     const LinkId dead = f.usedLink();
@@ -223,7 +233,7 @@ TEST(FaultRepair, OneFailedLinkRepairsIncrementally)
               rep.subsetsTotal);
 
     // The compiler-phase counters agree.
-    auto &reg = metrics::Registry::global();
+    auto &reg = f.root.metricsRegistry();
     EXPECT_EQ(reg.counter("repair.incremental").value(), 1u);
     EXPECT_EQ(reg.counter("repair.subsets_resolved").value(),
               rep.subsetsResolved);
@@ -240,7 +250,7 @@ TEST(FaultRepair, OneFailedLinkRepairsIncrementally)
                     fate == fault::MessageFate::Rerouted);
 }
 
-TEST(FaultRepair, TwoFailedLinksStillCertify)
+TEST_F(FaultRepair, TwoFailedLinksStillCertify)
 {
     Dvb444 f;
     ASSERT_TRUE(f.healthy.feasible);
@@ -263,7 +273,7 @@ TEST(FaultRepair, TwoFailedLinksStillCertify)
         }
 }
 
-TEST(FaultRepair, DerateRepairsAndVerifiesDuty)
+TEST_F(FaultRepair, DerateRepairsAndVerifiesDuty)
 {
     Dvb444 f;
     ASSERT_TRUE(f.healthy.feasible);
@@ -285,7 +295,7 @@ TEST(FaultRepair, DerateRepairsAndVerifiesDuty)
     EXPECT_LE(busy, 0.5 * rep.omega.period + kTimeEps);
 }
 
-TEST(FaultRepair, NodeDeathShedsItsMessages)
+TEST_F(FaultRepair, NodeDeathShedsItsMessages)
 {
     Dvb444 f;
     ASSERT_TRUE(f.healthy.feasible);
@@ -314,7 +324,7 @@ TEST(FaultRepair, NodeDeathShedsItsMessages)
                   fault::MessageFate::Shed);
 }
 
-TEST(FaultRepair, DisconnectionFailsWithFaultStage)
+TEST_F(FaultRepair, DisconnectionFailsWithFaultStage)
 {
     // Sever every link of node 0 on a small ring: task traffic
     // to/from node 0 is unroutable and (with its tasks alive) the
@@ -330,7 +340,7 @@ TEST(FaultRepair, DisconnectionFailsWithFaultStage)
     TimingModel tm;
     tm.apSpeed = 1.0;
     tm.bandwidth = 64.0;
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * tm.tauC(g);
 
     for (LinkId l : topo->linksAt(0))
@@ -354,7 +364,7 @@ TEST(FaultCpsim, MidRunLinkDeathDropsAndSwapsToRepaired)
     ASSERT_TRUE(rep.usedIncremental);
 
     const Time period = f.healthy.omega.period;
-    CpSimConfig sim;
+    CpSimConfig sim{.ctx = &f.root};
     sim.invocations = 20;
     sim.warmup = 2;
     // The link dies mid-run; five periods later the repaired

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "engine_fixture.hh"
 #include "fuzz/differential.hh"
 #include "fuzz/fuzz_case.hh"
 #include "fuzz/generator.hh"
@@ -21,7 +22,12 @@
 namespace srsim {
 namespace {
 
-TEST(FuzzCaseTest, RoundTripsThroughText)
+using FuzzCaseTest = EngineTest;
+using FuzzChurnTest = EngineTest;
+using FuzzCorpusTest = EngineTest;
+using FuzzMultiTest = EngineTest;
+
+TEST_F(FuzzCaseTest, RoundTripsThroughText)
 {
     const fuzz::FuzzCase c = fuzz::generateCase(42);
     std::ostringstream os;
@@ -52,11 +58,11 @@ TEST(FuzzCaseTest, RoundTripsThroughText)
     fuzz::RunOptions opts;
     opts.invocations = 8;
     opts.warmup = 2;
-    EXPECT_EQ(fuzz::runCase(c, opts).verdict,
-              fuzz::runCase(d, opts).verdict);
+    EXPECT_EQ(fuzz::runCase(c, root, opts).verdict,
+              fuzz::runCase(d, root, opts).verdict);
 }
 
-TEST(FuzzCaseTest, MalformedDocumentIsFatal)
+TEST_F(FuzzCaseTest, MalformedDocumentIsFatal)
 {
     std::istringstream is("not-a-fuzz-case\n");
     EXPECT_THROW(fuzz::readFuzzCase(is), FatalError);
@@ -179,7 +185,7 @@ TEST(FuzzGeneratorTest, SomeSeedsCarryChurnOps)
     EXPECT_GT(batch, 0u);
 }
 
-TEST(FuzzCaseTest, ChurnOpsRoundTripThroughText)
+TEST_F(FuzzCaseTest, ChurnOpsRoundTripThroughText)
 {
     // Find a seed whose case carries churn ops and round-trip it.
     fuzz::FuzzCase c;
@@ -196,7 +202,7 @@ TEST(FuzzCaseTest, ChurnOpsRoundTripThroughText)
     EXPECT_EQ(d.churnOps, c.churnOps);
 }
 
-TEST(FuzzChurnTest, ChurnSeedsReplayClean)
+TEST_F(FuzzChurnTest, ChurnSeedsReplayClean)
 {
     // A window of churny seeds through the online-vs-oracle
     // differential runner: zero disagreements. (CI's srfuzz_smoke
@@ -211,7 +217,7 @@ TEST(FuzzChurnTest, ChurnSeedsReplayClean)
         if (c.churnOps.empty())
             continue;
         ++ran;
-        const fuzz::RunResult r = fuzz::runCase(c, opts);
+        const fuzz::RunResult r = fuzz::runCase(c, root, opts);
         EXPECT_FALSE(r.failed())
             << "seed " << seed << ": " << r.report;
     }
@@ -274,7 +280,7 @@ TEST(FuzzGeneratorTest, MultiCasesAreWellFormed)
     }
 }
 
-TEST(FuzzCaseTest, MultiOpsRoundTripThroughText)
+TEST_F(FuzzCaseTest, MultiOpsRoundTripThroughText)
 {
     const fuzz::FuzzCase c = fuzz::generateMultiCase(1);
     std::ostringstream os;
@@ -285,13 +291,13 @@ TEST(FuzzCaseTest, MultiOpsRoundTripThroughText)
     EXPECT_EQ(d.multiOps, c.multiOps);
 }
 
-TEST(FuzzMultiTest, MultiSeedsReplayClean)
+TEST_F(FuzzMultiTest, MultiSeedsReplayClean)
 {
     // A few seeds through the daemon crash-recovery oracle: zero
     // divergences. (CI's srfuzz_smoke --multi runs far more.)
     for (std::uint64_t seed = 0; seed < 3; ++seed) {
         const fuzz::RunResult r =
-            fuzz::runCase(fuzz::generateMultiCase(seed));
+            fuzz::runCase(fuzz::generateMultiCase(seed), root);
         EXPECT_FALSE(r.failed())
             << "multi seed " << seed << ": " << r.report;
     }
@@ -335,7 +341,7 @@ TEST(FuzzShrinkTest, ClearsMultiWhenTheDaemonIsIrrelevant)
     EXPECT_TRUE(min.multiOps.empty());
 }
 
-TEST(FuzzCorpusTest, EveryCorpusCaseReplaysClean)
+TEST_F(FuzzCorpusTest, EveryCorpusCaseReplaysClean)
 {
     const std::filesystem::path dir(SRSIM_CORPUS_DIR);
     ASSERT_TRUE(std::filesystem::is_directory(dir))
@@ -347,7 +353,7 @@ TEST(FuzzCorpusTest, EveryCorpusCaseReplaysClean)
         std::ifstream in(e.path());
         ASSERT_TRUE(in.good()) << e.path();
         const fuzz::FuzzCase c = fuzz::readFuzzCase(in);
-        const fuzz::RunResult r = fuzz::runCase(c);
+        const fuzz::RunResult r = fuzz::runCase(c, root);
         EXPECT_FALSE(r.failed())
             << e.path().filename().string() << ": " << r.report;
         ++replayed;

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_fixture.hh"
 #include "golden_cases.hh"
 #include "metrics/metrics.hh"
 #include "solver/lp.hh"
@@ -29,6 +30,8 @@
 
 namespace srsim {
 namespace {
+
+using GoldenDeterminism = EngineTest;
 
 std::string
 goldenPath(const golden::GoldenCase &gc)
@@ -70,7 +73,10 @@ firstDiff(const std::string &want, const std::string &got)
 }
 
 class Golden : public ::testing::TestWithParam<golden::GoldenCase>
-{};
+{
+  protected:
+    engine::EngineContext root;
+};
 
 TEST_P(Golden, MatchesPinnedBytes)
 {
@@ -79,7 +85,7 @@ TEST_P(Golden, MatchesPinnedBytes)
     ASSERT_FALSE(want.empty())
         << "missing golden file " << goldenPath(gc)
         << " — run tools/regen_golden and commit the corpus";
-    const std::string got = golden::compileGoldenCase(gc);
+    const std::string got = golden::compileGoldenCase(gc, root);
     EXPECT_EQ(want, got)
         << "golden case '" << gc.name << "' diverged; "
         << firstDiff(want, got)
@@ -101,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(
  * The pinned bytes are thread-count independent: the repair-heavy
  * mixed-fault case compiles identically at 1, 2, and 8 workers.
  */
-TEST(GoldenDeterminism, ThreadCountInvariant)
+TEST_F(GoldenDeterminism, ThreadCountInvariant)
 {
     const golden::GoldenCase *mixed = nullptr;
     for (const auto &gc : golden::goldenCases())
@@ -115,7 +121,7 @@ TEST(GoldenDeterminism, ThreadCountInvariant)
         << "missing golden file — run tools/regen_golden";
     for (std::size_t threads : {1u, 2u, 8u}) {
         ThreadPool::setGlobalSize(threads);
-        EXPECT_EQ(want, golden::compileGoldenCase(*mixed))
+        EXPECT_EQ(want, golden::compileGoldenCase(*mixed, root))
             << "fault-mixed diverged at " << threads
             << " thread(s)";
     }
@@ -127,7 +133,7 @@ TEST(GoldenDeterminism, ThreadCountInvariant)
  * assignment by a different route, so the AssignPaths counts of the
  * four healthy cases are pinned too, at 1, 2 and 8 workers.
  */
-TEST(GoldenDeterminism, AssignPathsCountsPinned)
+TEST_F(GoldenDeterminism, AssignPathsCountsPinned)
 {
     struct Pin
     {
@@ -150,7 +156,7 @@ TEST(GoldenDeterminism, AssignPathsCountsPinned)
                     gc = &c;
             ASSERT_NE(gc, nullptr) << pin.name;
             const SrCompileResult r =
-                golden::GoldenInputs(*gc, nullptr).compile(*gc);
+                golden::GoldenInputs(*gc, root).compile(*gc);
             EXPECT_EQ(r.assignRestarts, 12)
                 << pin.name << " at " << threads << " thread(s)";
             EXPECT_EQ(r.assignReroutes, pin.reroutes)
@@ -169,7 +175,7 @@ TEST(GoldenDeterminism, AssignPathsCountsPinned)
  * context and must leave every solver.warmstart.* counter of that
  * registry, and the process-wide warm-start tallies, at zero.
  */
-TEST(GoldenDeterminism, HealthyCompilesNeverSeeABasis)
+TEST_F(GoldenDeterminism, HealthyCompilesNeverSeeABasis)
 {
     metrics::Registry::setEnabled(true);
     for (const auto &gc : golden::goldenCases()) {
@@ -177,10 +183,9 @@ TEST(GoldenDeterminism, HealthyCompilesNeverSeeABasis)
             continue;
         engine::ChildOptions co;
         co.name = std::string("golden.") + gc.name;
-        const auto ctx =
-            engine::EngineContext::processDefault().createChild(co);
+        const auto ctx = root.createChild(co);
         const lp::SolverStats before = lp::solverStats();
-        (void)golden::GoldenInputs(gc, ctx.get()).compile(gc);
+        (void)golden::GoldenInputs(gc, *ctx).compile(gc);
         const lp::SolverStats after = lp::solverStats();
 
         std::uint64_t solves = 0;

@@ -15,6 +15,7 @@
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
 #include "cpsim/cp_simulator.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/random_tfg.hh"
 #include "tfg/timing.hh"
@@ -24,6 +25,9 @@
 
 namespace srsim {
 namespace {
+
+using DeterminismTest = EngineTest;
+using PrintingTest = EngineTest;
 
 /** Random mapped workload with tau_m <= tau_c guaranteed. */
 struct RandomWorkload
@@ -49,7 +53,10 @@ struct RandomWorkload
 };
 
 class WormholeInvariants : public ::testing::TestWithParam<int>
-{};
+{
+  protected:
+    engine::EngineContext root;
+};
 
 TEST_P(WormholeInvariants, EveryInvocationCompletesUnlessDeadlock)
 {
@@ -58,7 +65,7 @@ TEST_P(WormholeInvariants, EveryInvocationCompletesUnlessDeadlock)
     RandomWorkload w(rng, topo);
 
     WormholeSimulator sim(w.g, topo, w.alloc, w.tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod =
         w.tm.tauC(w.g) * rng.uniformReal(1.0, 3.0);
     cfg.invocations = 30;
@@ -96,7 +103,7 @@ TEST_P(WormholeInvariants, VirtualChannelRunsAlsoConserve)
     RandomWorkload w(rng, topo);
 
     WormholeSimulator sim(w.g, topo, w.alloc, w.tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.5 * w.tm.tauC(w.g);
     cfg.invocations = 20;
     cfg.warmup = 4;
@@ -111,7 +118,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WormholeInvariants,
                          ::testing::Range(1, 11));
 
 class CheckerAgreement : public ::testing::TestWithParam<int>
-{};
+{
+  protected:
+    engine::EngineContext root;
+};
 
 TEST_P(CheckerAgreement, VerifierExecutorAndCpSimAgree)
 {
@@ -120,7 +130,7 @@ TEST_P(CheckerAgreement, VerifierExecutorAndCpSimAgree)
         GeneralizedHypercube::binaryCube(4);
     RandomWorkload w(rng, topo);
 
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod =
         w.tm.tauC(w.g) * rng.uniformReal(1.2, 3.0);
     cfg.feedbackRounds = 1;
@@ -134,12 +144,12 @@ TEST_P(CheckerAgreement, VerifierExecutorAndCpSimAgree)
 
     // 2. Analytic executor.
     const SrExecutionResult ana = executeSchedule(
-        w.g, w.alloc, w.tm, r.bounds, r.omega, 20);
+        w.g, w.alloc, w.tm, r.bounds, r.omega, 20, root);
     EXPECT_TRUE(ana.consistent(4));
 
     // 3. CP-hardware simulator, invocation-by-invocation equal to
     //    the analytic executor.
-    CpSimConfig ccfg;
+    CpSimConfig ccfg{.ctx = &root};
     ccfg.invocations = 20;
     ccfg.warmup = 4;
     const CpSimResult dyn = simulateCps(
@@ -155,12 +165,12 @@ TEST_P(CheckerAgreement, VerifierExecutorAndCpSimAgree)
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerAgreement,
                          ::testing::Range(1, 13));
 
-TEST(DeterminismTest, CompilerIsDeterministicGivenSeed)
+TEST_F(DeterminismTest, CompilerIsDeterministicGivenSeed)
 {
     Rng rng(5);
     const Torus topo({4, 4});
     RandomWorkload w(rng, topo);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * w.tm.tauC(w.g);
     cfg.assign.seed = 777;
 
@@ -184,7 +194,7 @@ TEST(DeterminismTest, CompilerIsDeterministicGivenSeed)
     }
 }
 
-TEST(DeterminismTest, CoupledAllocationIsSeedDeterministic)
+TEST_F(DeterminismTest, CoupledAllocationIsSeedDeterministic)
 {
     const auto cube = GeneralizedHypercube::binaryCube(5);
     Rng mk(2);
@@ -194,21 +204,21 @@ TEST(DeterminismTest, CoupledAllocationIsSeedDeterministic)
 
     Rng r1(42), r2(42);
     const auto a = coupleAllocationWithPaths(w.g, cube, w.tm,
-                                             period, seed, r1);
+                                             period, seed, r1, root);
     const auto b = coupleAllocationWithPaths(w.g, cube, w.tm,
-                                             period, seed, r2);
+                                             period, seed, r2, root);
     EXPECT_EQ(a.accepted, b.accepted);
     EXPECT_DOUBLE_EQ(a.peakUtilization, b.peakUtilization);
     for (TaskId t = 0; t < w.g.numTasks(); ++t)
         EXPECT_EQ(a.allocation.nodeOf(t), b.allocation.nodeOf(t));
 }
 
-TEST(PrintingTest, NodeSchedulePrintMentionsPortsAndMessages)
+TEST_F(PrintingTest, NodeSchedulePrintMentionsPortsAndMessages)
 {
     Rng rng(9);
     const auto cube = GeneralizedHypercube::binaryCube(4);
     RandomWorkload w(rng, cube);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.5 * w.tm.tauC(w.g);
     cfg.feedbackRounds = 2;
     const SrCompileResult r =

@@ -11,6 +11,7 @@
 #include "core/schedule_io.hh"
 #include "core/sr_compiler.hh"
 #include "core/verifier.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "tfg/tfg_io.hh"
@@ -19,6 +20,8 @@
 
 namespace srsim {
 namespace {
+
+using ScheduleIoTest = EngineTest;
 
 /** Message of the FatalError `fn` throws ("" when none). */
 template <typename Fn>
@@ -133,7 +136,7 @@ TEST(TfgIoTest, MalformedNumbersAndTrailingTokensNameTheirLine)
  * segment. Guards the on-disk format against drift now that
  * schedules are produced on worker threads.
  */
-TEST(ScheduleIoTest, GoldenRoundTripVerifiesAndMatches)
+TEST_F(ScheduleIoTest, GoldenRoundTripVerifiesAndMatches)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -142,7 +145,7 @@ TEST(ScheduleIoTest, GoldenRoundTripVerifiesAndMatches)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * tm.tauC(g);
     const SrCompileResult r =
         compileScheduledRouting(g, cube, alloc, tm, cfg);
@@ -192,7 +195,7 @@ TEST(ScheduleIoTest, GoldenRoundTripVerifiesAndMatches)
  * uncaught exception. A long-lived service preloading schedules from
  * disk (`srsimc serve --preload`) depends on exactly this contract.
  */
-TEST(ScheduleIoTest, MalformedCorpusReturnsStructuredErrors)
+TEST_F(ScheduleIoTest, MalformedCorpusReturnsStructuredErrors)
 {
     const auto topo = makeTopology("torus:4,4,4");
     struct BadCase
@@ -232,7 +235,7 @@ TEST(ScheduleIoTest, MalformedCorpusReturnsStructuredErrors)
 }
 
 /** The valid corpus files parse, including v2 provenance. */
-TEST(ScheduleIoTest, ValidCorpusParses)
+TEST_F(ScheduleIoTest, ValidCorpusParses)
 {
     const auto topo = makeTopology("torus:4,4,4");
     {
@@ -256,7 +259,7 @@ TEST(ScheduleIoTest, ValidCorpusParses)
 }
 
 /** The throwing wrapper surfaces the same structured message. */
-TEST(ScheduleIoTest, ReadScheduleFatalsOnCorruptInput)
+TEST_F(ScheduleIoTest, ReadScheduleFatalsOnCorruptInput)
 {
     const auto topo = makeTopology("torus:4,4,4");
     std::istringstream in("srsim-schedule v1\nperiod 0\n");

@@ -23,19 +23,11 @@ namespace {
 class MetricsTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        metrics::Registry::setEnabled(false);
-        metrics::Registry::global().clear();
-    }
+    void SetUp() override { metrics::Registry::setEnabled(false); }
+    void TearDown() override { metrics::Registry::setEnabled(false); }
 
-    void
-    TearDown() override
-    {
-        metrics::Registry::setEnabled(false);
-        metrics::Registry::global().clear();
-    }
+    /** Each test's own standalone registry. */
+    metrics::Registry reg;
 };
 
 TEST_F(MetricsTest, DisabledByDefault)
@@ -51,7 +43,6 @@ TEST_F(MetricsTest, DisabledByDefault)
 
 TEST_F(MetricsTest, CounterAccumulates)
 {
-    auto &reg = metrics::Registry::global();
     auto &c = reg.counter("test.counter");
     c.add();
     c.add(41);
@@ -62,7 +53,7 @@ TEST_F(MetricsTest, CounterAccumulates)
 
 TEST_F(MetricsTest, GaugeKeepsLastValue)
 {
-    auto &g = metrics::Registry::global().gauge("test.gauge");
+    auto &g = reg.gauge("test.gauge");
     g.set(1.5);
     g.set(-3.25);
     EXPECT_DOUBLE_EQ(g.value(), -3.25);
@@ -70,7 +61,7 @@ TEST_F(MetricsTest, GaugeKeepsLastValue)
 
 TEST_F(MetricsTest, HistogramStatsAndPercentiles)
 {
-    auto &h = metrics::Registry::global().histogram(
+    auto &h = reg.histogram(
         "test.hist", {1.0, 2.0, 4.0, 8.0, 16.0});
     for (int v = 1; v <= 10; ++v)
         h.add(static_cast<double>(v));
@@ -91,7 +82,7 @@ TEST_F(MetricsTest, HistogramStatsAndPercentiles)
 
 TEST_F(MetricsTest, HistogramRejectsNanAndBadBounds)
 {
-    auto &h = metrics::Registry::global().histogram(
+    auto &h = reg.histogram(
         "test.hist2", metrics::Histogram::timeBucketsMs());
     EXPECT_THROW(h.add(std::nan("")), PanicError);
     EXPECT_THROW(metrics::Histogram({2.0, 1.0}), PanicError);
@@ -100,7 +91,7 @@ TEST_F(MetricsTest, HistogramRejectsNanAndBadBounds)
 
 TEST_F(MetricsTest, TimelineUtilization)
 {
-    auto &tl = metrics::Registry::global().timeline("test.links");
+    auto &tl = reg.timeline("test.links");
     tl.occupy(0, 0.0, 25.0);
     tl.occupy(0, 50.0, 75.0);
     tl.occupy(2, 0.0, 100.0);
@@ -117,7 +108,6 @@ TEST_F(MetricsTest, TimelineUtilization)
 
 TEST_F(MetricsTest, CounterSnapshotIsNameSorted)
 {
-    auto &reg = metrics::Registry::global();
     reg.counter("zeta").add(3);
     reg.counter("alpha").add(1);
     reg.counter("mid").add(2);
@@ -131,7 +121,6 @@ TEST_F(MetricsTest, CounterSnapshotIsNameSorted)
 
 TEST_F(MetricsTest, JsonExportIsValidAndComplete)
 {
-    auto &reg = metrics::Registry::global();
     reg.counter("c.one").add(7);
     reg.gauge("g.one").set(2.5);
     auto &h = reg.histogram("h.one", {1.0, 10.0, 100.0});
@@ -162,7 +151,6 @@ TEST_F(MetricsTest, JsonExportIsValidAndComplete)
 
 TEST_F(MetricsTest, ClearRemovesEverything)
 {
-    auto &reg = metrics::Registry::global();
     reg.counter("gone").add(5);
     reg.clear();
     EXPECT_EQ(reg.counter("gone").value(), 0u);

@@ -8,6 +8,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "solver/lp.hh"
 #include "tfg/patterns.hh"
@@ -17,12 +18,14 @@
 namespace srsim {
 namespace {
 
+using MipTest = EngineTest;
+
 using lp::Problem;
 using lp::Relation;
 using lp::Solution;
 using lp::Status;
 
-TEST(MipTest, NoIntegerVariablesDelegatesToLp)
+TEST_F(MipTest, NoIntegerVariablesDelegatesToLp)
 {
     Problem p;
     const auto x = p.addVariable(-1.0);
@@ -32,7 +35,7 @@ TEST(MipTest, NoIntegerVariablesDelegatesToLp)
     EXPECT_NEAR(s.values[x], 2.5, 1e-6); // fractional is fine
 }
 
-TEST(MipTest, KnapsackLikeRounding)
+TEST_F(MipTest, KnapsackLikeRounding)
 {
     // max x (<= 2.5), x integer  ->  x = 2.
     Problem p;
@@ -45,7 +48,7 @@ TEST(MipTest, KnapsackLikeRounding)
     EXPECT_NEAR(s.objective, -2.0, 1e-6);
 }
 
-TEST(MipTest, IntegralityChangesTheOptimum)
+TEST_F(MipTest, IntegralityChangesTheOptimum)
 {
     // max 5x + 4y s.t. 6x + 4y <= 24, x + 2y <= 6.
     // LP optimum (3, 1.5) -> 21; integer optimum (4, 0) -> 20.
@@ -68,7 +71,7 @@ TEST(MipTest, IntegralityChangesTheOptimum)
     EXPECT_NEAR(mip.values[y], 0.0, 1e-6);
 }
 
-TEST(MipTest, InfeasibleIntegerDetected)
+TEST_F(MipTest, InfeasibleIntegerDetected)
 {
     // 0.4 <= x <= 0.6 has no integer point.
     Problem p;
@@ -79,7 +82,7 @@ TEST(MipTest, InfeasibleIntegerDetected)
     EXPECT_EQ(lp::solveMip(p).status, Status::Infeasible);
 }
 
-TEST(MipTest, MixedIntegerContinuous)
+TEST_F(MipTest, MixedIntegerContinuous)
 {
     // min x + y s.t. x + y >= 3.7, x integer, y continuous <= 0.5.
     Problem p;
@@ -97,7 +100,7 @@ TEST(MipTest, MixedIntegerContinuous)
     EXPECT_NEAR(s.objective, 4.0, 1e-6);
 }
 
-TEST(MipTest, NodeCapReported)
+TEST_F(MipTest, NodeCapReported)
 {
     // A deliberately branchy instance with a tiny node budget.
     Problem p;
@@ -122,7 +125,7 @@ TEST(MipTest, NodeCapReported)
     EXPECT_EQ(s.status, Status::IterationLimit);
 }
 
-TEST(MipTest, RandomInstancesMatchBruteForce)
+TEST_F(MipTest, RandomInstancesMatchBruteForce)
 {
     // Small random 0/1 problems: compare against exhaustive
     // enumeration.
@@ -172,7 +175,7 @@ TEST(MipTest, RandomInstancesMatchBruteForce)
     }
 }
 
-TEST(MipTest, ExactPacketSchedulingCompilesAndAligns)
+TEST_F(MipTest, ExactPacketSchedulingCompilesAndAligns)
 {
     // The aligned fork-join workload, scheduled with slot lengths
     // solved as the paper's integer program.
@@ -185,7 +188,7 @@ TEST(MipTest, ExactPacketSchedulingCompilesAndAligns)
     const auto cube = GeneralizedHypercube::binaryCube(4);
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 5);
 
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2 * 77.0;
     cfg.scheduling.exactPacketMip = true;
     cfg.feedbackRounds = 1;
@@ -195,7 +198,7 @@ TEST(MipTest, ExactPacketSchedulingCompilesAndAligns)
     EXPECT_TRUE(r.verification.ok);
     EXPECT_TRUE(isPacketAligned(r.omega, tm.packetTime()));
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 20);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 20, root);
     EXPECT_TRUE(ex.consistent(4));
 }
 

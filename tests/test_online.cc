@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_fixture.hh"
 #include "golden_churn.hh"
 #include "metrics/metrics.hh"
 #include "solver/lp.hh"
@@ -38,6 +39,12 @@ PrintTo(const ChurnCase &cc, std::ostream *os)
 } // namespace golden
 
 namespace {
+
+using OnlineAdmission = EngineTest;
+using OnlineMetrics = EngineTest;
+using OnlinePeriod = EngineTest;
+using OnlineRejection = EngineTest;
+using OnlineCache = EngineTest;
 
 using online::AdmitSpec;
 using online::RejectReason;
@@ -74,7 +81,10 @@ churnCase(const std::string &name)
 
 class GoldenChurn
     : public ::testing::TestWithParam<golden::ChurnCase>
-{};
+{
+  protected:
+    engine::EngineContext root;
+};
 
 TEST_P(GoldenChurn, MatchesPinnedBytes)
 {
@@ -83,7 +93,7 @@ TEST_P(GoldenChurn, MatchesPinnedBytes)
     ASSERT_FALSE(want.empty())
         << "missing golden file " << goldenPath(cc)
         << " — run tools/regen_golden and commit the corpus";
-    const golden::ChurnRun run = golden::runChurnCase(cc);
+    const golden::ChurnRun run = golden::runChurnCase(cc, root);
     EXPECT_EQ(want, run.scheduleText)
         << "churn case '" << cc.name
         << "' diverged; if intentional, refresh with "
@@ -107,10 +117,10 @@ INSTANTIATE_TEST_SUITE_P(
  * maximal related subsets are copied verbatim — and the published
  * schedule is verifier-certified at the original period.
  */
-TEST(OnlineAdmission, SingleAdmitResolvesOnlyTouchedSubsets)
+TEST_F(OnlineAdmission, SingleAdmitResolvesOnlyTouchedSubsets)
 {
     const golden::ChurnRun run =
-        golden::runChurnCase(churnCase("churn-admit"));
+        golden::runChurnCase(churnCase("churn-admit"), root);
     ASSERT_EQ(run.results.size(), 1u);
     const RequestResult &r = run.results[0];
     EXPECT_TRUE(r.usedIncremental);
@@ -129,10 +139,10 @@ TEST(OnlineAdmission, SingleAdmitResolvesOnlyTouchedSubsets)
 }
 
 /** Admit + remove round-trips to the original schedule, by cache. */
-TEST(OnlineAdmission, RemoveRoundTripsViaCache)
+TEST_F(OnlineAdmission, RemoveRoundTripsViaCache)
 {
     const golden::ChurnRun run =
-        golden::runChurnCase(churnCase("churn-remove"));
+        golden::runChurnCase(churnCase("churn-remove"), root);
     ASSERT_EQ(run.results.size(), 2u);
     EXPECT_TRUE(run.results[1].usedCache);
     // The end state is byte-identical to the healthy fig10 golden.
@@ -144,43 +154,43 @@ TEST(OnlineAdmission, RemoveRoundTripsViaCache)
 }
 
 /** Re-admitting a removed message is a cache hit, not a re-solve. */
-TEST(OnlineAdmission, ReadmitHitsCache)
+TEST_F(OnlineAdmission, ReadmitHitsCache)
 {
     const golden::ChurnRun run =
-        golden::runChurnCase(churnCase("churn-readmit"));
+        golden::runChurnCase(churnCase("churn-readmit"), root);
     ASSERT_EQ(run.results.size(), 3u);
     EXPECT_TRUE(run.results[2].usedCache);
     EXPECT_EQ(run.results[2].subsetsResolved, 0u);
     EXPECT_GE(run.cacheHits, 2u); // remove + readmit
     // Same end state as admitting once.
     const golden::ChurnRun once =
-        golden::runChurnCase(churnCase("churn-admit"));
+        golden::runChurnCase(churnCase("churn-admit"), root);
     EXPECT_EQ(run.scheduleText, once.scheduleText);
 }
 
 /** A batch is one coalesced re-solve, not five. */
-TEST(OnlineAdmission, BatchCoalescesIntoOneResolve)
+TEST_F(OnlineAdmission, BatchCoalescesIntoOneResolve)
 {
     const golden::ChurnRun run =
-        golden::runChurnCase(churnCase("churn-batch5"));
+        golden::runChurnCase(churnCase("churn-batch5"), root);
     ASSERT_EQ(run.results.size(), 1u);
     const RequestResult &r = run.results[0];
     EXPECT_TRUE(r.usedIncremental || r.usedFullCompile);
     EXPECT_TRUE(run.final->verification.ok);
     EXPECT_EQ(run.final->omega.period, run.start.period);
     EXPECT_EQ(run.final->bounds.messages.size(),
-              golden::runChurnCase(churnCase("churn-admit"))
+              golden::runChurnCase(churnCase("churn-admit"), root)
                       .final->bounds.messages.size() +
                   4);
 }
 
 /** The whole request pipeline is a deterministic function. */
-TEST(OnlineAdmission, Deterministic)
+TEST_F(OnlineAdmission, Deterministic)
 {
     const golden::ChurnRun a =
-        golden::runChurnCase(churnCase("churn-batch5"));
+        golden::runChurnCase(churnCase("churn-batch5"), root);
     const golden::ChurnRun b =
-        golden::runChurnCase(churnCase("churn-batch5"));
+        golden::runChurnCase(churnCase("churn-batch5"), root);
     EXPECT_EQ(a.scheduleText, b.scheduleText);
     ASSERT_EQ(a.results.size(), b.results.size());
     for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -201,7 +211,7 @@ TEST(OnlineAdmission, Deterministic)
  * the readmit re-solves its subsets from the bases the first admit
  * stored, and churn-resize's re-admits at new sizes pivot from them.
  */
-TEST(OnlineAdmission, WarmStartCountsPinned)
+TEST_F(OnlineAdmission, WarmStartCountsPinned)
 {
     struct Pin
     {
@@ -224,7 +234,7 @@ TEST(OnlineAdmission, WarmStartCountsPinned)
     };
     for (const Pin &pin : pins) {
         const lp::SolverStats before = lp::solverStats();
-        (void)golden::runChurnCase(churnCase(pin.name),
+        (void)golden::runChurnCase(churnCase(pin.name), root,
                                    pin.scheduleCache);
         const lp::SolverStats after = lp::solverStats();
         EXPECT_EQ(after.warmAttempts - before.warmAttempts,
@@ -238,19 +248,17 @@ TEST(OnlineAdmission, WarmStartCountsPinned)
 }
 
 /** online.* counters account for the churn work. */
-TEST(OnlineMetrics, CountersAccountForChurn)
+TEST_F(OnlineMetrics, CountersAccountForChurn)
 {
-    metrics::Registry::global().clear();
     metrics::Registry::setEnabled(true);
     const golden::ChurnRun run =
-        golden::runChurnCase(churnCase("churn-readmit"));
+        golden::runChurnCase(churnCase("churn-readmit"), root);
     metrics::Registry::setEnabled(false);
 
     std::map<std::string, std::uint64_t> c;
     for (const auto &[name, value] :
-         metrics::Registry::global().counterSnapshot())
+         root.metricsRegistry().counterSnapshot())
         c[name] = value;
-    metrics::Registry::global().clear();
 
     EXPECT_EQ(c["online.requests"], 4u); // start + 3 requests
     EXPECT_EQ(c["online.admitted"], 2u);
@@ -264,21 +272,19 @@ TEST(OnlineMetrics, CountersAccountForChurn)
 }
 
 /** InjectFault drives fault::repairSchedule: repair.* counters. */
-TEST(OnlineMetrics, FaultRequestBumpsRepairCounters)
+TEST_F(OnlineMetrics, FaultRequestBumpsRepairCounters)
 {
-    const auto svc = golden::makeChurnService();
+    const auto svc = golden::makeChurnService(root);
     ASSERT_TRUE(svc->start().accepted);
 
-    metrics::Registry::global().clear();
     metrics::Registry::setEnabled(true);
     const RequestResult r = svc->injectFault("link:0-1");
     metrics::Registry::setEnabled(false);
 
     std::map<std::string, std::uint64_t> c;
     for (const auto &[name, value] :
-         metrics::Registry::global().counterSnapshot())
+         root.metricsRegistry().counterSnapshot())
         c[name] = value;
-    metrics::Registry::global().clear();
 
     ASSERT_TRUE(r.accepted) << r.detail;
     EXPECT_EQ(c["online.faults_injected"], 1u);
@@ -294,9 +300,9 @@ TEST(OnlineMetrics, FaultRequestBumpsRepairCounters)
 }
 
 /** Rejections carry structured reasons, and reject atomically. */
-TEST(OnlineRejection, StructuredReasons)
+TEST_F(OnlineRejection, StructuredReasons)
 {
-    const auto svc = golden::makeChurnService();
+    const auto svc = golden::makeChurnService(root);
     AdmitSpec spec{"x0", "probe", "verify", 256.0};
 
     // Not started yet.
@@ -352,9 +358,9 @@ TEST(OnlineRejection, StructuredReasons)
  * An infeasible admission is classified, and when a stretched
  * period would fit, the caller learns the period.
  */
-TEST(OnlineRejection, InfeasibleAdmissionIsClassified)
+TEST_F(OnlineRejection, InfeasibleAdmissionIsClassified)
 {
-    const auto svc = golden::makeChurnService();
+    const auto svc = golden::makeChurnService(root);
     ASSERT_TRUE(svc->start().accepted);
     const std::uint64_t v0 = svc->published()->version;
 
@@ -427,12 +433,29 @@ TEST(OnlineScript, ParsesAndRejectsStructurally)
         EXPECT_FALSE(r.ok);
         EXPECT_EQ(r.errorLine, 2);
     }
+    // Numbers are checked where they are parsed, not later by the
+    // service: bytes and periods are positive and finite, a batch
+    // count is a whole number in [1, kMaxBatch].
+    for (const char *line :
+         {"admit a t1 t2 -5\n", "admit a t1 t2 0\n",
+          "admit a t1 t2 nan\n", "admit a t1 t2 64x\n",
+          "period -1\n", "period inf\n", "batch 0\n", "batch 1.5\n",
+          "batch 100001\n", "batch -2\n"}) {
+        std::istringstream is(line);
+        const online::ScriptParseResult r =
+            online::parseRequestScript(is);
+        EXPECT_FALSE(r.ok) << line;
+        EXPECT_EQ(r.errorLine, 1) << line;
+    }
+    int n = 0;
+    EXPECT_TRUE(online::parseBatchCount("100000", &n));
+    EXPECT_EQ(n, online::kMaxBatch);
 }
 
 /** The canonical key identifies workloads, not construction order. */
-TEST(OnlineCache, CanonicalKeyAndLru)
+TEST_F(OnlineCache, CanonicalKeyAndLru)
 {
-    const auto svc = golden::makeChurnService();
+    const auto svc = golden::makeChurnService(root);
     ASSERT_TRUE(svc->start().accepted);
     // Admit/remove three distinct messages: six states, all cached.
     for (const char *n : {"k0", "k1", "k2"}) {
@@ -461,7 +484,7 @@ TEST(OnlineCache, CanonicalKeyAndLru)
     tm.apSpeed = dvb.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.4 * tm.tauC(g);
     const std::string k1 =
         online::canonicalWorkloadKey(g, *topo, alloc, tm, cfg);
@@ -477,7 +500,7 @@ TEST(OnlineCache, CanonicalKeyAndLru)
  * that share a name but wire their nodes differently route (and so
  * schedule) differently, and must not collide in the cache.
  */
-TEST(OnlineCache, KeyCoversFabricWiring)
+TEST_F(OnlineCache, KeyCoversFabricWiring)
 {
     class TwinFabric : public Topology
     {
@@ -517,7 +540,7 @@ TEST(OnlineCache, KeyCoversFabricWiring)
     TimingModel tm;
     tm.apSpeed = dvb.matchedApSpeed();
     tm.bandwidth = 128.0;
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.4 * tm.tauC(g);
 
     const TwinFabric ring(true);
@@ -536,9 +559,9 @@ TEST(OnlineCache, KeyCoversFabricWiring)
 }
 
 /** UpdatePeriod republishes at the new period, certified. */
-TEST(OnlinePeriod, UpdatePeriodRepublishes)
+TEST_F(OnlinePeriod, UpdatePeriodRepublishes)
 {
-    const auto svc = golden::makeChurnService();
+    const auto svc = golden::makeChurnService(root);
     ASSERT_TRUE(svc->start().accepted);
     const Time p0 = svc->currentPeriod();
     const RequestResult r = svc->updatePeriod(p0 * 1.5);

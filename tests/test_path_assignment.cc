@@ -16,6 +16,7 @@
 #include "core/path_assignment.hh"
 #include "core/subsets.hh"
 #include "core/time_bounds.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "topology/factory.hh"
@@ -35,6 +36,17 @@ PrintTo(const PeakPosition &p, std::ostream *os)
 }
 
 namespace {
+
+/** AssignPaths' default options, run under `ctx`. */
+AssignPathsOptions
+defaultsUnder(const engine::EngineContext &ctx)
+{
+    AssignPathsOptions opts{.ctx = &ctx};
+    return opts;
+}
+
+using SubsetsTest = EngineTest;
+using AssignPathsTest = EngineTest;
 
 /**
  * Two parallel messages released together, both 0 -> 3 on a
@@ -583,21 +595,21 @@ TEST(LinkLoadStateTest, EveryTreeNodeHoldsItsChildrensWinner)
     EXPECT_GT(ties, 750);
 }
 
-TEST(AssignPathsTest, FindsTheBalancedAssignment)
+TEST_F(AssignPathsTest, FindsTheBalancedAssignment)
 {
     ParallelFixture f;
     const TimeBounds tb =
         computeTimeBounds(f.g, f.alloc, f.tm, 40.0);
     const IntervalSet ivs(tb);
     const AssignPathsResult r =
-        assignPaths(f.g, f.cube, f.alloc, tb, ivs);
+        assignPaths(f.g, f.cube, f.alloc, tb, ivs, defaultsUnder(root));
     // The optimum splits the messages onto disjoint paths: 0.6.
     EXPECT_NEAR(r.report.peak, 0.6, 1e-9);
     EXPECT_NE(r.assignment.paths[0].nodes[1],
               r.assignment.paths[1].nodes[1]);
 }
 
-TEST(AssignPathsTest, LsdBaselineUsesRoutingFunction)
+TEST_F(AssignPathsTest, LsdBaselineUsesRoutingFunction)
 {
     ParallelFixture f;
     const TimeBounds tb =
@@ -609,7 +621,7 @@ TEST(AssignPathsTest, LsdBaselineUsesRoutingFunction)
         EXPECT_EQ(p.nodes, (std::vector<NodeId>{0, 1, 3}));
 }
 
-TEST(AssignPathsTest, AssignedPathsAreValidMinimalAndEndToEnd)
+TEST_F(AssignPathsTest, AssignedPathsAreValidMinimalAndEndToEnd)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -622,7 +634,7 @@ TEST(AssignPathsTest, AssignedPathsAreValidMinimalAndEndToEnd)
         computeTimeBounds(g, alloc, tm, 3.0 * tm.tauC(g));
     const IntervalSet ivs(tb);
     const AssignPathsResult r =
-        assignPaths(g, cube, alloc, tb, ivs);
+        assignPaths(g, cube, alloc, tb, ivs, defaultsUnder(root));
     ASSERT_EQ(r.assignment.paths.size(), tb.messages.size());
     for (std::size_t i = 0; i < tb.messages.size(); ++i) {
         const Message &m = g.message(tb.messages[i].msg);
@@ -640,7 +652,10 @@ TEST(AssignPathsTest, AssignedPathsAreValidMinimalAndEndToEnd)
  * above the LSD-to-MSD baseline.
  */
 class AssignPathsProperty : public ::testing::TestWithParam<double>
-{};
+{
+  protected:
+    engine::EngineContext root;
+};
 
 TEST_P(AssignPathsProperty, NeverWorseThanRoutingFunction)
 {
@@ -665,8 +680,9 @@ TEST_P(AssignPathsProperty, NeverWorseThanRoutingFunction)
             const double lsd =
                 ua.analyze(lsdToMsdAssignment(g, *topo, alloc, tb))
                     .peak;
-            const double ap =
-                assignPaths(g, *topo, alloc, tb, ivs).report.peak;
+            const double ap = assignPaths(g, *topo, alloc, tb, ivs,
+                                          defaultsUnder(root))
+                                  .report.peak;
             EXPECT_LE(ap, lsd + 1e-9)
                 << topo->name() << " bw=" << bw
                 << " factor=" << factor;
@@ -684,7 +700,7 @@ INSTANTIATE_TEST_SUITE_P(LoadFactors, AssignPathsProperty,
  * the parallel compiler relies on (DVB on the binary 6-cube and the
  * 8x8 torus).
  */
-TEST(AssignPathsTest, DeterministicAcrossThreadCounts)
+TEST_F(AssignPathsTest, DeterministicAcrossThreadCounts)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     DvbParams dp;
@@ -694,7 +710,7 @@ TEST(AssignPathsTest, DeterministicAcrossThreadCounts)
 
     const auto cube = GeneralizedHypercube::binaryCube(6);
     const Torus torus({8, 8});
-    AssignPathsOptions opts;
+    AssignPathsOptions opts{.ctx = &root};
     opts.maxRestarts = 4;
     opts.seed = 987654321;
 
@@ -735,13 +751,13 @@ TEST(AssignPathsTest, DeterministicAcrossThreadCounts)
 }
 
 /** Re-running with the same seed is reproducible (same process). */
-TEST(AssignPathsTest, SameSeedSameResult)
+TEST_F(AssignPathsTest, SameSeedSameResult)
 {
     ParallelFixture f;
     const TimeBounds tb =
         computeTimeBounds(f.g, f.alloc, f.tm, 40.0);
     const IntervalSet ivs(tb);
-    AssignPathsOptions opts;
+    AssignPathsOptions opts{.ctx = &root};
     opts.seed = 2024;
     const AssignPathsResult a =
         assignPaths(f.g, f.cube, f.alloc, tb, ivs, opts);
@@ -753,7 +769,7 @@ TEST(AssignPathsTest, SameSeedSameResult)
         EXPECT_EQ(a.assignment.paths[i], b.assignment.paths[i]);
 }
 
-TEST(SubsetsTest, SharedLinkAndIntervalRelatesMessages)
+TEST_F(SubsetsTest, SharedLinkAndIntervalRelatesMessages)
 {
     ParallelFixture f;
     const TimeBounds tb =
@@ -768,7 +784,7 @@ TEST(SubsetsTest, SharedLinkAndIntervalRelatesMessages)
     EXPECT_EQ(subsets[0].links.size(), 2u);
 }
 
-TEST(SubsetsTest, DisjointPathsSeparateSubsets)
+TEST_F(SubsetsTest, DisjointPathsSeparateSubsets)
 {
     ParallelFixture f;
     const TimeBounds tb =
@@ -781,7 +797,7 @@ TEST(SubsetsTest, DisjointPathsSeparateSubsets)
     EXPECT_EQ(subsets.size(), 2u);
 }
 
-TEST(SubsetsTest, SharedLinkDifferentIntervalsUnrelated)
+TEST_F(SubsetsTest, SharedLinkDifferentIntervalsUnrelated)
 {
     // Chain A -> B -> C mapped so both messages use link 0-1 but in
     // different windows: they are NOT related.
@@ -808,7 +824,7 @@ TEST(SubsetsTest, SharedLinkDifferentIntervalsUnrelated)
     EXPECT_EQ(subsets.size(), 2u);
 }
 
-TEST(SubsetsTest, TransitivityMergesChains)
+TEST_F(SubsetsTest, TransitivityMergesChains)
 {
     // m1 shares with m2, m2 shares with m3 => all three together,
     // even if m1 and m3 share nothing.
@@ -843,7 +859,7 @@ TEST(SubsetsTest, TransitivityMergesChains)
     EXPECT_EQ(subsets[0].members.size(), 3u);
 }
 
-TEST(SubsetsTest, SubsetsPartitionAllMessages)
+TEST_F(SubsetsTest, SubsetsPartitionAllMessages)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const Torus torus({4, 4, 4});
@@ -856,7 +872,7 @@ TEST(SubsetsTest, SubsetsPartitionAllMessages)
         computeTimeBounds(g, alloc, tm, 2.0 * tm.tauC(g));
     const IntervalSet ivs(tb);
     const AssignPathsResult r =
-        assignPaths(g, torus, alloc, tb, ivs);
+        assignPaths(g, torus, alloc, tb, ivs, defaultsUnder(root));
     const auto subsets =
         computeMaximalSubsets(tb, ivs, r.assignment);
     std::vector<int> seen(tb.messages.size(), 0);

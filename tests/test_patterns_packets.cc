@@ -8,6 +8,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/patterns.hh"
 #include "tfg/timing.hh"
@@ -17,7 +18,10 @@
 namespace srsim {
 namespace {
 
-TEST(PatternsTest, ChainShape)
+using PacketTest = EngineTest;
+using PatternsTest = EngineTest;
+
+TEST_F(PatternsTest, ChainShape)
 {
     const TaskFlowGraph g = patterns::chain(5, 100.0, 64.0);
     EXPECT_EQ(g.numTasks(), 5);
@@ -28,7 +32,7 @@ TEST(PatternsTest, ChainShape)
     EXPECT_THROW(patterns::chain(0, 1.0, 1.0), FatalError);
 }
 
-TEST(PatternsTest, ForkJoinShape)
+TEST_F(PatternsTest, ForkJoinShape)
 {
     const TaskFlowGraph g =
         patterns::forkJoin(6, 100.0, 80.0, 120.0, 64.0);
@@ -39,7 +43,7 @@ TEST(PatternsTest, ForkJoinShape)
     EXPECT_TRUE(g.isAcyclic());
 }
 
-TEST(PatternsTest, ButterflyShape)
+TEST_F(PatternsTest, ButterflyShape)
 {
     const TaskFlowGraph g =
         patterns::butterfly(3, 4, 100.0, 64.0);
@@ -52,7 +56,7 @@ TEST(PatternsTest, ButterflyShape)
     EXPECT_EQ(g.numMessages(), 4 + 2 * 4 + 2 * 4);
 }
 
-TEST(PatternsTest, ReductionShape)
+TEST_F(PatternsTest, ReductionShape)
 {
     const TaskFlowGraph g = patterns::reduction(8, 100.0, 64.0);
     // scatter + 8 leaves + 4 + 2 + 1 reducers.
@@ -61,14 +65,14 @@ TEST(PatternsTest, ReductionShape)
     EXPECT_TRUE(g.isAcyclic());
 }
 
-TEST(PatternsTest, ReductionHandlesOddLeafCounts)
+TEST_F(PatternsTest, ReductionHandlesOddLeafCounts)
 {
     const TaskFlowGraph g = patterns::reduction(5, 100.0, 64.0);
     EXPECT_EQ(g.outputTasks().size(), 1u);
     EXPECT_TRUE(g.isAcyclic());
 }
 
-TEST(PatternsTest, PatternsCompileEndToEnd)
+TEST_F(PatternsTest, PatternsCompileEndToEnd)
 {
     // Every pattern should be schedulable on a roomy fabric at a
     // relaxed period.
@@ -84,7 +88,7 @@ TEST(PatternsTest, PatternsCompileEndToEnd)
     };
     for (const TaskFlowGraph &g : graphs) {
         const TaskAllocation alloc = alloc::greedy(g, cube);
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &root};
         cfg.inputPeriod = 2.0 * tm.tauC(g);
         cfg.feedbackRounds = 1;
         const SrCompileResult r =
@@ -101,7 +105,7 @@ TEST(PatternsTest, PatternsCompileEndToEnd)
  * land on the packet grid and the schedule must still verify and
  * execute with constant throughput.
  */
-TEST(PacketTest, AlignedWorkloadProducesGridSchedule)
+TEST_F(PacketTest, AlignedWorkloadProducesGridSchedule)
 {
     // All ops multiples of 25 -> task times integer at speed 25;
     // all bytes multiples of 64 -> message times integer at B=64.
@@ -113,7 +117,7 @@ TEST(PacketTest, AlignedWorkloadProducesGridSchedule)
     const auto cube = GeneralizedHypercube::binaryCube(4);
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 5);
 
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2 * 77.0; // integer period
     cfg.scheduling.packetTime = 1.0;
     cfg.feedbackRounds = 1;
@@ -124,11 +128,11 @@ TEST(PacketTest, AlignedWorkloadProducesGridSchedule)
     EXPECT_TRUE(isPacketAligned(r.omega, 1.0));
 
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 25);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 25, root);
     EXPECT_TRUE(ex.consistent(5));
 }
 
-TEST(PacketTest, ContinuousScheduleIsUsuallyOffGrid)
+TEST_F(PacketTest, ContinuousScheduleIsUsuallyOffGrid)
 {
     // Same workload without quantization: the LP lands on vertex
     // solutions that are not packet multiples in general; the
@@ -141,7 +145,7 @@ TEST(PacketTest, ContinuousScheduleIsUsuallyOffGrid)
     tm.bandwidth = 64.0; // 1590/64 is not an integer
     const auto cube = GeneralizedHypercube::binaryCube(4);
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 5);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2 * 77.0;
     const SrCompileResult r =
         compileScheduledRouting(g, cube, alloc, tm, cfg);
@@ -150,7 +154,7 @@ TEST(PacketTest, ContinuousScheduleIsUsuallyOffGrid)
     EXPECT_FALSE(isPacketAligned(r.omega, 1.0));
 }
 
-TEST(PacketTest, PacketBytesRoundMessageTimesUp)
+TEST_F(PacketTest, PacketBytesRoundMessageTimesUp)
 {
     TaskFlowGraph g = patterns::chain(2, 100.0, 1111.0);
     TimingModel tm;
@@ -165,7 +169,7 @@ TEST(PacketTest, PacketBytesRoundMessageTimesUp)
     EXPECT_NEAR(tm.tauM(g), 18.0, 1e-9);
 }
 
-TEST(PacketTest, UnalignedWorkloadsCompileWithPacketBytes)
+TEST_F(PacketTest, UnalignedWorkloadsCompileWithPacketBytes)
 {
     // With TimingModel::packetBytes set, awkward byte counts round
     // to whole packets and quantized compilation goes through; the
@@ -177,7 +181,7 @@ TEST(PacketTest, UnalignedWorkloadsCompileWithPacketBytes)
     tm.packetBytes = 64.0; // compiler derives packetTime = 1 us
     const Torus torus({4, 4});
     const TaskAllocation alloc = alloc::greedy(g, torus);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 3.0 * tm.tauC(g);
     cfg.feedbackRounds = 1;
     const SrCompileResult r =
@@ -185,11 +189,11 @@ TEST(PacketTest, UnalignedWorkloadsCompileWithPacketBytes)
     ASSERT_TRUE(r.feasible) << r.detail;
     EXPECT_TRUE(r.verification.ok);
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 20);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 20, root);
     EXPECT_TRUE(ex.consistent(4));
 }
 
-TEST(PacketTest, NonPacketDurationsAreRejected)
+TEST_F(PacketTest, NonPacketDurationsAreRejected)
 {
     // Asking for a packet grid without rounding message times must
     // be refused as invalid input, not produce a broken schedule.
@@ -199,7 +203,7 @@ TEST(PacketTest, NonPacketDurationsAreRejected)
     tm.bandwidth = 64.0; // 6.25 us messages, not packet-aligned
     const Torus torus({4, 4});
     const TaskAllocation alloc = alloc::greedy(g, torus);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 4.0 * tm.tauC(g);
     cfg.scheduling.packetTime = 1.0;
     const SrCompileResult r =

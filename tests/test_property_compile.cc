@@ -25,6 +25,7 @@
 #include "core/schedule_io.hh"
 #include "core/sr_compiler.hh"
 #include "core/verifier.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "metrics/metrics.hh"
 #include "tfg/random_tfg.hh"
@@ -37,6 +38,8 @@
 namespace srsim {
 namespace {
 
+using PropertyCompileTest = EngineTest;
+
 /** One randomized compile instance, fully determined by its seed. */
 struct Instance
 {
@@ -47,8 +50,9 @@ struct Instance
     SrCompilerConfig cfg;
 };
 
+/** The instance for `seed`, compiling under `ctx`. */
 Instance
-makeInstance(std::uint64_t seed)
+makeInstance(std::uint64_t seed, const engine::EngineContext &ctx)
 {
     Rng rng(deriveSeed(0xF00D, seed));
 
@@ -93,6 +97,7 @@ makeInstance(std::uint64_t seed)
                                        rng.uniformInt(1, 13))
                    : alloc::random(in.g, *in.topo, rng);
 
+    in.cfg.ctx = &ctx;
     in.cfg.inputPeriod =
         rng.uniformReal(1.0, 3.0) * in.tm.tauC(in.g);
     // The property below re-verifies independently; the compiler
@@ -103,12 +108,12 @@ makeInstance(std::uint64_t seed)
     return in;
 }
 
-TEST(PropertyCompileTest, FeasibleImpliesVerifiedInfeasibleNamesStage)
+TEST_F(PropertyCompileTest, FeasibleImpliesVerifiedInfeasibleNamesStage)
 {
     ThreadPool::setGlobalSize(ThreadPool::configuredSize());
     int feasible = 0, infeasible = 0;
     for (std::uint64_t seed = 0; seed < 50; ++seed) {
-        const Instance in = makeInstance(seed);
+        const Instance in = makeInstance(seed, root);
         const SrCompileResult r = compileScheduledRouting(
             in.g, *in.topo, in.alloc, in.tm, in.cfg);
 
@@ -156,10 +161,10 @@ compileFingerprint(const Instance &in)
     return oss.str();
 }
 
-TEST(PropertyCompileTest, SerialAndParallelCompilesAreByteIdentical)
+TEST_F(PropertyCompileTest, SerialAndParallelCompilesAreByteIdentical)
 {
     for (std::uint64_t seed : {3ull, 11ull, 27ull, 42ull}) {
-        const Instance in = makeInstance(seed);
+        const Instance in = makeInstance(seed, root);
 
         ThreadPool::setGlobalSize(1);
         const std::string serial = compileFingerprint(in);
@@ -177,10 +182,10 @@ TEST(PropertyCompileTest, SerialAndParallelCompilesAreByteIdentical)
  * switched on, every compile still serializes byte-identically to
  * the untraced serial baseline, at 1, 2, and 8 threads.
  */
-TEST(PropertyCompileTest, ObservabilityDoesNotPerturbCompiles)
+TEST_F(PropertyCompileTest, ObservabilityDoesNotPerturbCompiles)
 {
     for (std::uint64_t seed : {3ull, 27ull}) {
-        const Instance in = makeInstance(seed);
+        const Instance in = makeInstance(seed, root);
 
         ThreadPool::setGlobalSize(1);
         const std::string baseline = compileFingerprint(in);
@@ -189,16 +194,14 @@ TEST(PropertyCompileTest, ObservabilityDoesNotPerturbCompiles)
         metrics::Registry::setEnabled(true);
         for (std::size_t threads : {1u, 2u, 8u}) {
             ThreadPool::setGlobalSize(threads);
-            trace::Tracer::instance().clear();
+            root.tracer().clear();
             EXPECT_EQ(compileFingerprint(in), baseline)
                 << "seed " << seed << " threads " << threads;
-            EXPECT_GT(trace::Tracer::instance().size(), 0u)
+            EXPECT_GT(root.tracer().size(), 0u)
                 << "tracing was supposed to be on";
         }
         trace::Tracer::setEnabled(false);
         metrics::Registry::setEnabled(false);
-        trace::Tracer::instance().clear();
-        metrics::Registry::global().clear();
         ThreadPool::setGlobalSize(1);
     }
 }

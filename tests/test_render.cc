@@ -10,6 +10,7 @@
 
 #include "core/schedule_render.hh"
 #include "core/sr_compiler.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "tfg/timing.hh"
@@ -18,7 +19,7 @@
 namespace srsim {
 namespace {
 
-struct RenderFixture : public ::testing::Test
+struct RenderFixture : public EngineTest
 {
     TaskFlowGraph g = buildDvbTfg({});
     GeneralizedHypercube cube = GeneralizedHypercube::binaryCube(6);
@@ -36,7 +37,7 @@ struct RenderFixture : public ::testing::Test
     void
     SetUp() override
     {
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &root};
         cfg.inputPeriod = 2.0 * tm.tauC(g);
         sr = compileScheduledRouting(g, cube, alloc, tm, cfg);
         ASSERT_TRUE(sr.feasible);

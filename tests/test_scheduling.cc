@@ -14,6 +14,7 @@
 #include "core/interval_allocation.hh"
 #include "core/interval_scheduling.hh"
 #include "core/schedule.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "topology/generalized_hypercube.hh"
@@ -21,6 +22,11 @@
 
 namespace srsim {
 namespace {
+
+using FeasibleSetsTest = EngineTest;
+using IntervalAllocationTest = EngineTest;
+using NodeScheduleTest = EngineTest;
+using IntervalSchedulingTest = EngineTest;
 
 /** Shared pipeline pieces for a mapped TFG at one period. */
 struct Pipeline
@@ -33,23 +39,37 @@ struct Pipeline
     std::unique_ptr<IntervalSet> ivs;
     PathAssignment pa;
     std::vector<MessageSubset> subsets;
+    /** Interval-scheduling defaults under the pipeline's context. */
+    IntervalSchedulingOptions sched;
 
     void
-    finish(Time period)
+    finish(Time period, const engine::EngineContext &ctx)
     {
         bounds = std::make_unique<TimeBounds>(
             computeTimeBounds(g, *alloc, tm, period));
         ivs = std::make_unique<IntervalSet>(*bounds);
+        AssignPathsOptions opts{.ctx = &ctx};
         const AssignPathsResult r =
-            assignPaths(g, *topo, *alloc, *bounds, *ivs);
+            assignPaths(g, *topo, *alloc, *bounds, *ivs, opts);
         pa = r.assignment;
         subsets = computeMaximalSubsets(*bounds, *ivs, pa);
+        sched.ctx = &ctx;
+    }
+
+    /** Sec. 5.2 allocation of the pipeline's subsets. */
+    IntervalAllocation
+    allocate(AllocationMethod method = AllocationMethod::Lp) const
+    {
+        return allocateMessageIntervals(*bounds, *ivs, pa, subsets,
+                                        method, 0.0, 0.0, nullptr,
+                                        nullptr, sched.ctx);
     }
 };
 
 /** Two same-window messages 0 -> 3 on a 2-cube. */
 Pipeline
-contendedPair(Time period, double bytes = 384.0)
+contendedPair(const engine::EngineContext &ctx, Time period,
+              double bytes = 384.0)
 {
     Pipeline p;
     const TaskId s1 = p.g.addTask("s1", 100.0);
@@ -67,13 +87,14 @@ contendedPair(Time period, double bytes = 384.0)
     p.alloc->assign(1, 0);
     p.alloc->assign(2, 3);
     p.alloc->assign(3, 3);
-    p.finish(period);
+    p.finish(period, ctx);
     return p;
 }
 
 /** The DVB pipeline mapped on a fabric at a load factor. */
 Pipeline
-dvbPipeline(double periodFactor, double bandwidth)
+dvbPipeline(const engine::EngineContext &ctx, double periodFactor,
+            double bandwidth)
 {
     Pipeline p;
     DvbParams dp;
@@ -84,15 +105,14 @@ dvbPipeline(double periodFactor, double bandwidth)
         GeneralizedHypercube::binaryCube(6));
     p.alloc = std::make_unique<TaskAllocation>(
         alloc::roundRobin(p.g, *p.topo, 13));
-    p.finish(periodFactor * p.tm.tauC(p.g));
+    p.finish(periodFactor * p.tm.tauC(p.g), ctx);
     return p;
 }
 
-TEST(IntervalAllocationTest, TotalAllocationEqualsDuration)
+TEST_F(IntervalAllocationTest, TotalAllocationEqualsDuration)
 {
-    Pipeline p = contendedPair(40.0);
-    const IntervalAllocation ia = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets);
+    Pipeline p = contendedPair(root, 40.0);
+    const IntervalAllocation ia = p.allocate();
     ASSERT_TRUE(ia.feasible);
     for (std::size_t i = 0; i < p.bounds->messages.size(); ++i) {
         EXPECT_NEAR(ia.allocation.rowSum(i),
@@ -105,11 +125,10 @@ TEST(IntervalAllocationTest, TotalAllocationEqualsDuration)
     }
 }
 
-TEST(IntervalAllocationTest, LinkCapacityConstraintHolds)
+TEST_F(IntervalAllocationTest, LinkCapacityConstraintHolds)
 {
-    Pipeline p = contendedPair(40.0);
-    const IntervalAllocation ia = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets);
+    Pipeline p = contendedPair(root, 40.0);
+    const IntervalAllocation ia = p.allocate();
     ASSERT_TRUE(ia.feasible);
     // (4): per (link, interval), total allocation of messages using
     // the link fits the interval.
@@ -129,7 +148,7 @@ TEST(IntervalAllocationTest, LinkCapacityConstraintHolds)
     EXPECT_LE(ia.peakLoad, 1.0 + 1e-6);
 }
 
-TEST(IntervalAllocationTest, OverloadedLinkInfeasible)
+TEST_F(IntervalAllocationTest, OverloadedLinkInfeasible)
 {
     // Three no-slack (10 us) messages forced through one 2-node
     // fabric link inside one 10 us window: 30 us of demand, 10 us
@@ -151,28 +170,25 @@ TEST(IntervalAllocationTest, OverloadedLinkInfeasible)
         p.alloc->assign(2 * i, 0);
         p.alloc->assign(2 * i + 1, 1);
     }
-    p.finish(60.0);
-    const IntervalAllocation ia = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets);
+    p.finish(60.0, root);
+    const IntervalAllocation ia = p.allocate();
     EXPECT_FALSE(ia.feasible);
     EXPECT_GE(ia.failedSubset, 0);
 }
 
-TEST(IntervalAllocationTest, GreedyAgreesOnEasyInstances)
+TEST_F(IntervalAllocationTest, GreedyAgreesOnEasyInstances)
 {
-    Pipeline p = contendedPair(40.0);
-    const IntervalAllocation greedy = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets,
-        AllocationMethod::Greedy);
+    Pipeline p = contendedPair(root, 40.0);
+    const IntervalAllocation greedy = p.allocate(AllocationMethod::Greedy);
     ASSERT_TRUE(greedy.feasible);
     for (std::size_t i = 0; i < p.bounds->messages.size(); ++i)
         EXPECT_NEAR(greedy.allocation.rowSum(i),
                     p.bounds->messages[i].duration, 1e-6);
 }
 
-TEST(FeasibleSetsTest, PairwiseLinkDisjointAndMaximal)
+TEST_F(FeasibleSetsTest, PairwiseLinkDisjointAndMaximal)
 {
-    Pipeline p = dvbPipeline(2.0, 128.0);
+    Pipeline p = dvbPipeline(root, 2.0, 128.0);
     // Pick the busiest interval of the largest subset.
     const MessageSubset *sub = &p.subsets[0];
     for (const auto &s : p.subsets)
@@ -217,14 +233,13 @@ TEST(FeasibleSetsTest, PairwiseLinkDisjointAndMaximal)
     }
 }
 
-TEST(IntervalSchedulingTest, SegmentsMatchAllocations)
+TEST_F(IntervalSchedulingTest, SegmentsMatchAllocations)
 {
-    Pipeline p = contendedPair(40.0);
-    const IntervalAllocation ia = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets);
+    Pipeline p = contendedPair(root, 40.0);
+    const IntervalAllocation ia = p.allocate();
     ASSERT_TRUE(ia.feasible);
     const IntervalScheduleResult sr = scheduleIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets, ia);
+        *p.bounds, *p.ivs, p.pa, p.subsets, ia, p.sched);
     ASSERT_TRUE(sr.feasible);
     for (std::size_t i = 0; i < p.bounds->messages.size(); ++i) {
         Time total = 0.0;
@@ -234,14 +249,13 @@ TEST(IntervalSchedulingTest, SegmentsMatchAllocations)
     }
 }
 
-TEST(IntervalSchedulingTest, NoLinkCarriesTwoMessagesAtOnce)
+TEST_F(IntervalSchedulingTest, NoLinkCarriesTwoMessagesAtOnce)
 {
-    Pipeline p = dvbPipeline(2.0, 128.0);
-    const IntervalAllocation ia = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets);
+    Pipeline p = dvbPipeline(root, 2.0, 128.0);
+    const IntervalAllocation ia = p.allocate();
     ASSERT_TRUE(ia.feasible);
     const IntervalScheduleResult sr = scheduleIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets, ia);
+        *p.bounds, *p.ivs, p.pa, p.subsets, ia, p.sched);
     ASSERT_TRUE(sr.feasible);
 
     for (LinkId l = 0; l < p.topo->numLinks(); ++l) {
@@ -264,14 +278,13 @@ TEST(IntervalSchedulingTest, NoLinkCarriesTwoMessagesAtOnce)
     }
 }
 
-TEST(IntervalSchedulingTest, SegmentsRespectTimeBounds)
+TEST_F(IntervalSchedulingTest, SegmentsRespectTimeBounds)
 {
-    Pipeline p = dvbPipeline(1.5, 128.0);
-    const IntervalAllocation ia = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets);
+    Pipeline p = dvbPipeline(root, 1.5, 128.0);
+    const IntervalAllocation ia = p.allocate();
     ASSERT_TRUE(ia.feasible);
     const IntervalScheduleResult sr = scheduleIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets, ia);
+        *p.bounds, *p.ivs, p.pa, p.subsets, ia, p.sched);
     ASSERT_TRUE(sr.feasible);
     for (std::size_t i = 0; i < p.bounds->messages.size(); ++i) {
         for (const TimeWindow &w : sr.segments[i]) {
@@ -285,13 +298,12 @@ TEST(IntervalSchedulingTest, SegmentsRespectTimeBounds)
     }
 }
 
-TEST(IntervalSchedulingTest, GreedyFallbackAlsoValid)
+TEST_F(IntervalSchedulingTest, GreedyFallbackAlsoValid)
 {
-    Pipeline p = contendedPair(40.0);
-    const IntervalAllocation ia = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets);
+    Pipeline p = contendedPair(root, 40.0);
+    const IntervalAllocation ia = p.allocate();
     ASSERT_TRUE(ia.feasible);
-    IntervalSchedulingOptions opts;
+    IntervalSchedulingOptions opts{.ctx = &root};
     opts.method = SchedulingMethod::ListScheduling;
     const IntervalScheduleResult sr = scheduleIntervals(
         *p.bounds, *p.ivs, p.pa, p.subsets, ia, opts);
@@ -304,13 +316,13 @@ TEST(IntervalSchedulingTest, GreedyFallbackAlsoValid)
     }
 }
 
-TEST(IntervalSchedulingTest, OverfullIntervalReported)
+TEST_F(IntervalSchedulingTest, OverfullIntervalReported)
 {
     // Two no-slack messages that must share the only link: the
     // allocation stage already fails; drive the scheduler directly
     // with a hand-made (overfull) allocation to exercise its own
     // failure path.
-    Pipeline p = contendedPair(40.0, 640.0); // 10 us each
+    Pipeline p = contendedPair(root, 40.0, 640.0); // 10 us each
     // Force both on the same path (binary 2-cube: 0-1-3).
     auto *cube =
         dynamic_cast<GeneralizedHypercube *>(p.topo.get());
@@ -327,19 +339,18 @@ TEST(IntervalSchedulingTest, OverfullIntervalReported)
     ia.allocation.at(0, k) = 10.0;
     ia.allocation.at(1, k) = 10.0; // 20 us into a 10 us interval
     const IntervalScheduleResult sr = scheduleIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets, ia);
+        *p.bounds, *p.ivs, p.pa, p.subsets, ia, p.sched);
     EXPECT_FALSE(sr.feasible);
     EXPECT_EQ(sr.failedInterval, static_cast<int>(k));
     EXPECT_GT(sr.overrun, 1e-6);
 }
 
-TEST(NodeScheduleTest, CommandsWirePortsAlongThePath)
+TEST_F(NodeScheduleTest, CommandsWirePortsAlongThePath)
 {
-    Pipeline p = contendedPair(40.0);
-    const IntervalAllocation ia = allocateMessageIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets);
+    Pipeline p = contendedPair(root, 40.0);
+    const IntervalAllocation ia = p.allocate();
     const IntervalScheduleResult sr = scheduleIntervals(
-        *p.bounds, *p.ivs, p.pa, p.subsets, ia);
+        *p.bounds, *p.ivs, p.pa, p.subsets, ia, p.sched);
     ASSERT_TRUE(sr.feasible);
     GlobalSchedule omega;
     omega.period = p.bounds->inputPeriod;

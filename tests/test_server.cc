@@ -20,6 +20,7 @@
 
 #include "core/schedule_io.hh"
 #include "engine/context.hh"
+#include "engine_fixture.hh"
 #include "metrics/metrics.hh"
 #include "online/script.hh"
 #include "online/service.hh"
@@ -32,6 +33,8 @@
 
 namespace srsim {
 namespace {
+
+using ServerDaemon = EngineTest;
 
 using server::DaemonConfig;
 using server::DaemonOp;
@@ -122,7 +125,8 @@ publishedBytes(const SchedulingDaemon &d, const std::string &name)
 
 /** The same figure recipe driven directly, no daemon. */
 std::string
-directBytes(const std::string &requestScript)
+directBytes(const std::string &requestScript,
+            const engine::EngineContext &ctx)
 {
     const DvbParams dvb;
     TaskFlowGraph g = buildDvbTfg(dvb);
@@ -131,7 +135,7 @@ directBytes(const std::string &requestScript)
     tm.apSpeed = dvb.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, *topo, 13);
-    online::OnlineSchedulerConfig cfg;
+    online::OnlineSchedulerConfig cfg{.compiler = {.ctx = &ctx}};
     cfg.compiler.inputPeriod = 120.0;
     cfg.compiler.assign.seed = 12345;
     online::OnlineScheduler svc(std::move(g), std::move(topo),
@@ -203,11 +207,43 @@ TEST(ServerProtocol, RejectsMalformedLines)
         "a admit x0 probe verify 256\n"
         "b admit x1 match probe 128\n", // wrong session in batch
         "frobnicate\n",
+        // Seeds and thread budgets are whole numbers in range.
+        "open a topo=cube:3 period=120 tfg=dvb seed=1.5\n",
+        "open a topo=cube:3 period=120 tfg=dvb seed=1e300\n",
+        "open a topo=cube:3 period=120 tfg=dvb seed=-1\n",
+        "open a topo=cube:3 period=120 tfg=dvb "
+        "seed=18446744073709551616\n",
+        "open a topo=cube:3 period=120 tfg=dvb threads=0\n",
+        "open a topo=cube:3 period=120 tfg=dvb threads=2.5\n",
+        "open a topo=cube:3 period=120 tfg=dvb threads=1e300\n",
+        "open a topo=cube:3 period=120 tfg=dvb threads=100000\n",
+        // One batch rule for every script.
+        "a batch 0\n",
+        "a batch 1.5\n",
+        "a batch 100001\n",
+        "a admit x0 probe verify -5\n",
+        "a period -1\n",
     };
     for (const char *script : bad) {
         std::istringstream is(script);
         EXPECT_FALSE(server::parseDaemonScript(is).ok) << script;
     }
+    // The session thread cap is inclusive, and one past it is a
+    // structured error naming the cap.
+    const std::string open = "open a topo=cube:3 period=120 tfg=dvb "
+                             "threads=";
+    std::istringstream atCap(
+        open + std::to_string(server::kMaxSessionThreads) + "\n");
+    EXPECT_TRUE(server::parseDaemonScript(atCap).ok);
+    std::istringstream overCap(
+        open + std::to_string(server::kMaxSessionThreads + 1) + "\n");
+    const server::DaemonScriptParseResult over =
+        server::parseDaemonScript(overCap);
+    EXPECT_FALSE(over.ok);
+    EXPECT_NE(over.error.find(
+                  std::to_string(server::kMaxSessionThreads)),
+              std::string::npos)
+        << over.error;
     // The retired solver-kind switch is an unknown key like any
     // other, not a value error.
     std::istringstream legacy(
@@ -323,6 +359,50 @@ TEST(ServerWal, SequenceBreakIsATornTail)
     ASSERT_TRUE(r.ok);
     EXPECT_TRUE(r.tornTail);
     EXPECT_EQ(r.records.size(), 1u);
+}
+
+TEST(ServerWal, OutOfRangeIntegersAreATornTail)
+{
+    // Each record decodes only if every integer in it is whole and
+    // in range; otherwise the log ends there, as at a torn write.
+    const std::string over =
+        std::to_string(server::kMaxSessionThreads + 1);
+    const std::string open =
+        R"({"seq":1,"op":"open","session":"a","topo":"cube:3",)"
+        R"("tfg":"dvb","period":100,"bw":64,"ap":0,"alloc":"greedy",)"
+        R"("cache":true,)";
+    const std::string bad[] = {
+        open + R"("seed":"7","threads":)" + over + "}",
+        open + R"("seed":"7","threads":1e300})",
+        open + R"("seed":"7","threads":2.5})",
+        open + R"("seed":"7","threads":0})",
+        open + R"("seed":"1.5"})",
+        open + R"("seed":"-1"})",
+        open + R"("seed":"1e300"})",
+        R"({"seq":1e300,"op":"close","session":"a"})",
+        R"({"seq":-1,"op":"close","session":"a"})",
+    };
+    const std::string dir = scratchDir("wal-ranges");
+    const std::string path = dir + "/wal.jsonl";
+    for (const std::string &record : bad) {
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << record << "\n";
+        }
+        const server::WalReadResult r = server::readWal(path);
+        ASSERT_TRUE(r.ok) << record;
+        EXPECT_TRUE(r.tornTail) << record;
+        EXPECT_TRUE(r.records.empty()) << record;
+    }
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << open << R"("seed":"7","threads":)"
+            << server::kMaxSessionThreads << "}\n";
+    }
+    const server::WalReadResult ok = server::readWal(path);
+    ASSERT_EQ(ok.records.size(), 1u);
+    EXPECT_EQ(ok.records[0].op.open.threads, server::kMaxSessionThreads);
+    EXPECT_EQ(ok.records[0].op.open.seed, 7u);
 }
 
 TEST(ServerWal, MissingFileIsAnEmptyLog)
@@ -454,6 +534,43 @@ TEST(ServerSnapshot, ThreadBudgetRoundTripsAndIsOptional)
     EXPECT_NE(err.find("thread budget"), std::string::npos) << err;
 }
 
+TEST(ServerSnapshot, OutOfRangeIntegersAreRejected)
+{
+    const std::string body = server::encodeSnapshot(sampleSnapshot());
+    const auto with = [&](const std::string &key,
+                          const std::string &value) {
+        const std::size_t at = body.find("\n" + key + " ") + 1;
+        const std::size_t eol = body.find('\n', at);
+        return body.substr(0, at) + key + " " + value +
+               body.substr(eol);
+    };
+    const std::pair<const char *, std::string> bad[] = {
+        {"seed", "-1"},
+        {"seed", "1.5"},
+        {"seed", "1e300"},
+        {"seed", "18446744073709551616"},
+        {"walseq", "-1"},
+    };
+    server::DaemonSnapshot back;
+    std::string err;
+    for (const auto &[key, value] : bad) {
+        EXPECT_FALSE(server::decodeSnapshot(with(key, value), &back,
+                                            &err))
+            << key << " " << value;
+        EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+    }
+    for (const std::string &threads :
+         {std::to_string(server::kMaxSessionThreads + 1),
+          std::string("1e300"), std::string("2.5")}) {
+        std::string over = body;
+        over.insert(over.find("\nperiod ") + 1,
+                    "threads " + threads + "\n");
+        EXPECT_FALSE(server::decodeSnapshot(over, &back, &err))
+            << threads;
+        EXPECT_NE(err.find("thread budget"), std::string::npos) << err;
+    }
+}
+
 TEST(ServerSnapshot, WideSeedsSurviveTheCodec)
 {
     // Same trap as the WAL: the decoder's double-based number
@@ -530,9 +647,10 @@ TEST(ServerSnapshot, FilesAreContentAddressedAndVerified)
 
 // -- Daemon behavior ----------------------------------------------
 
-TEST(ServerDaemon, MatchesTheDirectServiceByteForByte)
+TEST_F(ServerDaemon, MatchesTheDirectServiceByteForByte)
 {
     DaemonConfig cfg; // ephemeral, 1 worker
+    cfg.ctx = &root;
     SchedulingDaemon d(cfg);
     const DaemonResponse opened = d.open(figSession("a"));
     ASSERT_EQ(opened.outcome, DaemonOutcome::Ok);
@@ -550,12 +668,12 @@ TEST(ServerDaemon, MatchesTheDirectServiceByteForByte)
         ASSERT_TRUE(r.result.accepted) << r.result.detail;
     }
     d.drain();
-    EXPECT_EQ(publishedBytes(d, "a"), directBytes(script));
+    EXPECT_EQ(publishedBytes(d, "a"), directBytes(script, root));
 }
 
-TEST(ServerDaemon, UnknownAndDuplicateSessionsAreStructured)
+TEST_F(ServerDaemon, UnknownAndDuplicateSessionsAreStructured)
 {
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     SchedulingDaemon d(cfg);
     online::Request r;
     r.kind = online::RequestKind::RemoveMessage;
@@ -572,9 +690,9 @@ TEST(ServerDaemon, UnknownAndDuplicateSessionsAreStructured)
               DaemonOutcome::UnknownSession);
 }
 
-TEST(ServerDaemon, FullQueueRejectsOverloadedWithoutBlocking)
+TEST_F(ServerDaemon, FullQueueRejectsOverloadedWithoutBlocking)
 {
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.queueCap = 3;
     SchedulingDaemon d(cfg);
     ASSERT_TRUE(d.open(figSession("a")).result.accepted);
@@ -605,9 +723,9 @@ TEST(ServerDaemon, FullQueueRejectsOverloadedWithoutBlocking)
     }
 }
 
-TEST(ServerDaemon, StaleRequestsExpireAtPickup)
+TEST_F(ServerDaemon, StaleRequestsExpireAtPickup)
 {
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.deadlineMs = 5.0;
     SchedulingDaemon d(cfg);
     ASSERT_TRUE(d.open(figSession("a")).result.accepted);
@@ -632,18 +750,12 @@ TEST(ServerDaemon, StaleRequestsExpireAtPickup)
  * bleed, while the daemon root registry holds the exact aggregate.
  * Runs in the plain and TSan lanes (suite is labeled server+tsan).
  */
-TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
+TEST_F(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
 {
     metrics::Registry::setEnabled(true);
-    // A dedicated root context keeps this test's aggregate clean of
-    // whatever earlier tests put in the process-wide registry.
-    engine::ChildOptions rootOpts;
-    rootOpts.name = "iso-root";
-    const auto root =
-        engine::EngineContext::processDefault().createChild(
-            rootOpts);
-    DaemonConfig cfg;
-    cfg.ctx = root.get();
+    // The test's own root context: its aggregate holds exactly this
+    // daemon's traffic.
+    DaemonConfig cfg{.ctx = &root};
     cfg.workers = 2;
     cfg.cacheCapacity = 0; // every request is a real re-solve
     SchedulingDaemon d(cfg);
@@ -699,14 +811,14 @@ TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
     EXPECT_EQ(count(budgetedReg, "online.requests"),
               static_cast<std::uint64_t>(budgetedN + 1));
     // The aggregate is the exact sum — write-through, not copies.
-    EXPECT_EQ(count(root->metricsRegistry(), "online.requests"),
+    EXPECT_EQ(count(root.metricsRegistry(), "online.requests"),
               static_cast<std::uint64_t>(sharedN + budgetedN + 2));
 
     // Both sessions re-solve warm; each registry holds only its own
     // warm-start traffic and the root holds their sum.
     for (const char *name :
          {"solver.warmstart.hits", "solver.warmstart.misses"}) {
-        EXPECT_EQ(count(root->metricsRegistry(), name),
+        EXPECT_EQ(count(root.metricsRegistry(), name),
                   count(sharedReg, name) + count(budgetedReg, name))
             << name;
     }
@@ -716,9 +828,9 @@ TEST(ServerDaemon, ConcurrentSessionsIsolatePerSessionMetrics)
     metrics::Registry::setEnabled(false);
 }
 
-TEST(ServerDaemon, SharedCacheServesCrossSessionHits)
+TEST_F(ServerDaemon, SharedCacheServesCrossSessionHits)
 {
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.workers = 2;
     SchedulingDaemon d(cfg);
     ASSERT_TRUE(d.open(figSession("a")).result.accepted);
@@ -731,9 +843,9 @@ TEST(ServerDaemon, SharedCacheServesCrossSessionHits)
     EXPECT_GT(d.cache().bytes(), 0u);
 }
 
-TEST(ServerDaemon, CacheEvictionsKeepByteAccounting)
+TEST_F(ServerDaemon, CacheEvictionsKeepByteAccounting)
 {
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.cacheCapacity = 1;
     SchedulingDaemon d(cfg);
     ASSERT_TRUE(d.open(figSession("a")).result.accepted);
@@ -748,14 +860,14 @@ TEST(ServerDaemon, CacheEvictionsKeepByteAccounting)
 
 // -- Durability ---------------------------------------------------
 
-TEST(ServerDaemon, RecoversByteIdenticalFromWalReplay)
+TEST_F(ServerDaemon, RecoversByteIdenticalFromWalReplay)
 {
     const std::string dir = scratchDir("recover-wal");
     const std::string script = "admit x0 probe verify 256\n"
                                "admit x1 match probe 128\n"
                                "remove x0\n";
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         SchedulingDaemon d(cfg);
         ASSERT_TRUE(d.open(figSession("a")).result.accepted);
@@ -768,7 +880,7 @@ TEST(ServerDaemon, RecoversByteIdenticalFromWalReplay)
         d.drain();
         d.crashForTest(); // no final snapshot, no graceful close
     }
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_TRUE(d2.recovery().snapshotPath.empty());
@@ -777,14 +889,14 @@ TEST(ServerDaemon, RecoversByteIdenticalFromWalReplay)
     EXPECT_EQ(d2.recovery().replayRejected, 0u);
     ASSERT_EQ(d2.sessionNames(),
               std::vector<std::string>{"a"});
-    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script));
+    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script, root));
 }
 
-TEST(ServerDaemon, RecoversFromSnapshotPlusWalSuffix)
+TEST_F(ServerDaemon, RecoversFromSnapshotPlusWalSuffix)
 {
     const std::string dir = scratchDir("recover-snap");
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         cfg.snapshotEvery = 2;
         SchedulingDaemon d(cfg);
@@ -799,7 +911,7 @@ TEST(ServerDaemon, RecoversFromSnapshotPlusWalSuffix)
         EXPECT_GT(d.snapshotsWritten(), 0u);
         d.crashForTest();
     }
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_FALSE(d2.recovery().snapshotPath.empty());
@@ -808,14 +920,14 @@ TEST(ServerDaemon, RecoversFromSnapshotPlusWalSuffix)
     EXPECT_EQ(publishedBytes(d2, "a"),
               directBytes("admit x0 probe verify 256\n"
                           "admit x1 match probe 128\n"
-                          "remove x0\n"));
+                          "remove x0\n", root));
 }
 
-TEST(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
+TEST_F(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
 {
     const std::string dir = scratchDir("recover-corrupt");
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         cfg.snapshotEvery = 1;
         SchedulingDaemon d(cfg);
@@ -839,22 +951,22 @@ TEST(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
         f.seekp(40);
         f.put('!');
     }
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_GE(d2.recovery().rejectedSnapshots.size(), 1u);
     EXPECT_EQ(publishedBytes(d2, "a"),
               directBytes("admit x0 probe verify 256\n"
-                          "remove x0\n"));
+                          "remove x0\n", root));
 }
 
-TEST(ServerDaemon, NanSnapshotFallsBackToFullReplay)
+TEST_F(ServerDaemon, NanSnapshotFallsBackToFullReplay)
 {
     const std::string dir = scratchDir("recover-nan-snap");
     const std::string script = "admit x0 probe verify 256\n"
                                "remove x0\n";
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         SchedulingDaemon d(cfg);
         ASSERT_TRUE(d.open(figSession("a")).result.accepted);
@@ -878,7 +990,7 @@ TEST(ServerDaemon, NanSnapshotFallsBackToFullReplay)
     ASSERT_TRUE(server::writeSnapshotFile(dir, snap, &path, &err))
         << err;
 
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     ASSERT_EQ(d2.recovery().rejectedSnapshots.size(), 1u);
@@ -888,10 +1000,10 @@ TEST(ServerDaemon, NanSnapshotFallsBackToFullReplay)
     EXPECT_TRUE(d2.recovery().snapshotPath.empty());
     EXPECT_EQ(d2.recovery().replayed, 3u);
     EXPECT_EQ(d2.recovery().replayRejected, 0u);
-    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script));
+    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script, root));
 }
 
-TEST(ServerDaemon, LegacySolverFieldInWalIsIgnored)
+TEST_F(ServerDaemon, LegacySolverFieldInWalIsIgnored)
 {
     // Open records written while sessions could pick a solver kind
     // carry "solver":"dense"; recovery must still replay them, to
@@ -899,7 +1011,7 @@ TEST(ServerDaemon, LegacySolverFieldInWalIsIgnored)
     const std::string dir = scratchDir("recover-legacy-solver");
     const std::string script = "admit x0 probe verify 256\n";
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         SchedulingDaemon d(cfg);
         ASSERT_TRUE(d.open(figSession("a")).result.accepted);
@@ -924,20 +1036,20 @@ TEST(ServerDaemon, LegacySolverFieldInWalIsIgnored)
     body.insert(at, "\"solver\":\"dense\",");
     std::ofstream(wal, std::ios::trunc) << body;
 
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_FALSE(d2.recovery().walTornTail);
     EXPECT_EQ(d2.recovery().replayed, 2u);
     EXPECT_EQ(d2.recovery().replayRejected, 0u);
-    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script));
+    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script, root));
 }
 
-TEST(ServerDaemon, RejectedOpenLeavesOthersServingAndIsNotJournaled)
+TEST_F(ServerDaemon, RejectedOpenLeavesOthersServingAndIsNotJournaled)
 {
     const std::string dir = scratchDir("rejected-open");
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         cfg.workers = 2;
         SchedulingDaemon d(cfg);
@@ -985,11 +1097,11 @@ TEST(ServerDaemon, RejectedOpenLeavesOthersServingAndIsNotJournaled)
         EXPECT_EQ(rec.op.session, "a");
 }
 
-TEST(ServerDaemon, RejectedStrideOpenLeavesOthersServing)
+TEST_F(ServerDaemon, RejectedStrideOpenLeavesOthersServing)
 {
     const std::string dir = scratchDir("rejected-stride");
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         cfg.workers = 2;
         SchedulingDaemon d(cfg);
@@ -1026,14 +1138,46 @@ TEST(ServerDaemon, RejectedStrideOpenLeavesOthersServing)
 }
 
 /**
+ * An API open past the session thread cap is refused before any
+ * thread starts: a structured error, no session, no WAL record.
+ */
+TEST_F(ServerDaemon, OverCapThreadBudgetIsRefusedAndNotJournaled)
+{
+    const std::string dir = scratchDir("over-cap-threads");
+    {
+        DaemonConfig cfg{.ctx = &root};
+        cfg.stateDir = dir;
+        SchedulingDaemon d(cfg);
+        for (const std::size_t threads :
+             {server::kMaxSessionThreads + 1, std::size_t{100000}}) {
+            SessionConfig sc = figSession("greedy");
+            sc.threads = threads;
+            const DaemonResponse r = d.open(sc);
+            EXPECT_EQ(r.outcome, DaemonOutcome::InvalidConfig)
+                << threads;
+            EXPECT_NE(r.detail.find("invalid input"),
+                      std::string::npos)
+                << r.detail;
+        }
+        EXPECT_TRUE(d.sessionNames().empty());
+        EXPECT_EQ(d.walRecords(), 0u);
+        d.shutdown();
+    }
+    const server::WalReadResult wr =
+        server::readWal(dir + "/wal.jsonl");
+    ASSERT_TRUE(wr.ok);
+    EXPECT_TRUE(wr.records.empty());
+}
+
+/**
  * A session's threads= budget survives a snapshot: recovered from
  * the image alone (no WAL replay), it runs on its own pool again.
  */
-TEST(ServerDaemon, SnapshotKeepsSessionThreadBudget)
+TEST_F(ServerDaemon, SnapshotKeepsSessionThreadBudget)
 {
     const std::string dir = scratchDir("snapshot-threads");
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         cfg.snapshotEvery = 1;
         SchedulingDaemon d(cfg);
@@ -1048,7 +1192,7 @@ TEST(ServerDaemon, SnapshotKeepsSessionThreadBudget)
         d.shutdown();
         EXPECT_GT(d.snapshotsWritten(), 0u);
     }
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_FALSE(d2.recovery().snapshotPath.empty());
@@ -1057,11 +1201,11 @@ TEST(ServerDaemon, SnapshotKeepsSessionThreadBudget)
     EXPECT_EQ(d2.sessionPoolSize("a"), 2u);
 }
 
-TEST(ServerDaemon, UnsyncedTailIsLostOnCrash)
+TEST_F(ServerDaemon, UnsyncedTailIsLostOnCrash)
 {
     const std::string dir = scratchDir("recover-unsynced");
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         cfg.walSyncEvery = 100; // group commit, never reached
         SchedulingDaemon d(cfg);
@@ -1072,18 +1216,18 @@ TEST(ServerDaemon, UnsyncedTailIsLostOnCrash)
         ASSERT_TRUE(d.submit("a", admit).get().result.accepted);
         d.crashForTest(); // pending WAL bytes dropped
     }
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_EQ(d2.recovery().walRecords, 0u);
     EXPECT_TRUE(d2.sessionNames().empty());
 }
 
-TEST(ServerDaemon, TornWalTailRecoversTheIntactPrefix)
+TEST_F(ServerDaemon, TornWalTailRecoversTheIntactPrefix)
 {
     const std::string dir = scratchDir("recover-torn");
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         SchedulingDaemon d(cfg);
         ASSERT_TRUE(d.open(figSession("a")).result.accepted);
@@ -1098,13 +1242,13 @@ TEST(ServerDaemon, TornWalTailRecoversTheIntactPrefix)
         std::ofstream out(dir + "/wal.jsonl", std::ios::app);
         out << "{\"seq\":3,\"op\":\"re"; // torn mid-record
     }
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_TRUE(d2.recovery().walTornTail);
     EXPECT_EQ(d2.recovery().walRecords, 2u);
     EXPECT_EQ(publishedBytes(d2, "a"),
-              directBytes("admit x0 probe verify 256\n"));
+              directBytes("admit x0 probe verify 256\n", root));
     // The rewritten log must append cleanly from here.
     online::Request admit;
     admit.kind = online::RequestKind::AdmitMessage;
@@ -1117,7 +1261,7 @@ TEST(ServerDaemon, TornWalTailRecoversTheIntactPrefix)
     EXPECT_EQ(wr.records.size(), 3u);
 }
 
-TEST(ServerDaemon, SnapshotSupersedingALostWalTailLeavesNoGap)
+TEST_F(ServerDaemon, SnapshotSupersedingALostWalTailLeavesNoGap)
 {
     // A snapshot may certify records a damaged state dir's WAL no
     // longer has. Recovery must not reopen the log ahead of its
@@ -1126,7 +1270,7 @@ TEST(ServerDaemon, SnapshotSupersedingALostWalTailLeavesNoGap)
     // stale log and continues from the snapshot's sequence.
     const std::string dir = scratchDir("recover-lost-tail");
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         cfg.snapshotEvery = 1;
         SchedulingDaemon d(cfg);
@@ -1151,7 +1295,7 @@ TEST(ServerDaemon, SnapshotSupersedingALostWalTailLeavesNoGap)
     }
     std::string afterOneMore;
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         SchedulingDaemon d2(cfg);
         EXPECT_FALSE(d2.recovery().snapshotPath.empty());
@@ -1159,7 +1303,7 @@ TEST(ServerDaemon, SnapshotSupersedingALostWalTailLeavesNoGap)
         EXPECT_EQ(publishedBytes(d2, "a"),
                   directBytes("admit x0 probe verify 256\n"
                               "admit x1 match probe 128\n"
-                              "remove x0\n"));
+                              "remove x0\n", root));
         EXPECT_TRUE(
             std::filesystem::exists(dir + "/wal.jsonl.stale"));
         online::Request admit;
@@ -1177,7 +1321,7 @@ TEST(ServerDaemon, SnapshotSupersedingALostWalTailLeavesNoGap)
     EXPECT_FALSE(wr.tornTail);
     ASSERT_EQ(wr.records.size(), 1u);
     EXPECT_EQ(wr.records[0].seq, 5u);
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d3(cfg);
     EXPECT_EQ(d3.recovery().replayed, 1u);
@@ -1187,7 +1331,7 @@ TEST(ServerDaemon, SnapshotSupersedingALostWalTailLeavesNoGap)
 
 // -- Concurrency --------------------------------------------------
 
-TEST(ServerDaemon, SnapshotsTolerateInFlightOpens)
+TEST_F(ServerDaemon, SnapshotsTolerateInFlightOpens)
 {
     // open() parks a placeholder session (no service yet) while the
     // initial compile runs outside the daemon lock; snapshots taken
@@ -1203,7 +1347,7 @@ TEST(ServerDaemon, SnapshotsTolerateInFlightOpens)
                                "admit x0 probe verify 256\n"
                                "remove x0\n";
     {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.stateDir = dir;
         cfg.snapshotEvery = 1;
         cfg.workers = 2;
@@ -1256,15 +1400,15 @@ TEST(ServerDaemon, SnapshotsTolerateInFlightOpens)
         }
     }
     // And the interleaved run recovers byte-identically.
-    DaemonConfig cfg;
+    DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
     EXPECT_EQ(d2.recovery().replayRejected, 0u);
     ASSERT_EQ(d2.sessionNames(), std::vector<std::string>{"a"});
-    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script));
+    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script, root));
 }
 
-TEST(ServerDaemon, ChurnStressMatchesSingleWorkerRun)
+TEST_F(ServerDaemon, ChurnStressMatchesSingleWorkerRun)
 {
     // 6 sessions x alternating admit/remove churn on 4 workers,
     // submitted from 3 threads, must publish exactly the bytes a
@@ -1272,7 +1416,7 @@ TEST(ServerDaemon, ChurnStressMatchesSingleWorkerRun)
     constexpr int kSessions = 6;
     constexpr int kRounds = 8;
     const auto runAll = [&](std::size_t workers) {
-        DaemonConfig cfg;
+        DaemonConfig cfg{.ctx = &root};
         cfg.workers = workers;
         cfg.queueCap = 1024;
         SchedulingDaemon d(cfg);

@@ -11,6 +11,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/sr_executor.hh"
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/dvb.hh"
 #include "tfg/random_tfg.hh"
@@ -22,7 +23,9 @@
 namespace srsim {
 namespace {
 
-TEST(SrCompilerTest, AllCoLocatedIsTriviallyFeasible)
+using SrCompilerTest = EngineTest;
+
+TEST_F(SrCompilerTest, AllCoLocatedIsTriviallyFeasible)
 {
     TaskFlowGraph g;
     const TaskId a = g.addTask("A", 100.0);
@@ -35,7 +38,7 @@ TEST(SrCompilerTest, AllCoLocatedIsTriviallyFeasible)
     TaskAllocation alloc(2, 8);
     alloc.assign(0, 4);
     alloc.assign(1, 4);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 20.0;
     const SrCompileResult r =
         compileScheduledRouting(g, cube, alloc, tm, cfg);
@@ -43,7 +46,7 @@ TEST(SrCompilerTest, AllCoLocatedIsTriviallyFeasible)
     EXPECT_TRUE(r.bounds.messages.empty());
 }
 
-TEST(SrCompilerTest, PeriodBelowTauCIsInvalidInput)
+TEST_F(SrCompilerTest, PeriodBelowTauCIsInvalidInput)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -52,7 +55,7 @@ TEST(SrCompilerTest, PeriodBelowTauCIsInvalidInput)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 64.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 0.5 * tm.tauC(g);
     const SrCompileResult r =
         compileScheduledRouting(g, cube, alloc, tm, cfg);
@@ -62,7 +65,7 @@ TEST(SrCompilerTest, PeriodBelowTauCIsInvalidInput)
     EXPECT_FALSE(r.detail.empty());
 }
 
-TEST(SrCompilerTest, UtilizationGateReportsStage)
+TEST_F(SrCompilerTest, UtilizationGateReportsStage)
 {
     // DVB on the 6-cube at B = 64 and maximum load: U > 1.
     const TaskFlowGraph g = buildDvbTfg({});
@@ -72,7 +75,7 @@ TEST(SrCompilerTest, UtilizationGateReportsStage)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 64.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = tm.tauC(g);
     const SrCompileResult r =
         compileScheduledRouting(g, cube, alloc, tm, cfg);
@@ -82,7 +85,7 @@ TEST(SrCompilerTest, UtilizationGateReportsStage)
     EXPECT_FALSE(r.detail.empty());
 }
 
-TEST(SrCompilerTest, FeasibleScheduleIsVerifiedAndExecutes)
+TEST_F(SrCompilerTest, FeasibleScheduleIsVerifiedAndExecutes)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -91,7 +94,7 @@ TEST(SrCompilerTest, FeasibleScheduleIsVerifiedAndExecutes)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = tm.tauC(g); // maximum load
     const SrCompileResult r =
         compileScheduledRouting(g, cube, alloc, tm, cfg);
@@ -100,14 +103,14 @@ TEST(SrCompilerTest, FeasibleScheduleIsVerifiedAndExecutes)
     EXPECT_LE(r.utilization.peak, 1.0 + 1e-9);
 
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 50);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 50, root);
     EXPECT_TRUE(ex.consistent(10));
     const SeriesStats s = ex.outputIntervals(10);
     EXPECT_NEAR(s.mean(), cfg.inputPeriod, 1e-6);
     EXPECT_NEAR(s.spread(), 0.0, 1e-6);
 }
 
-TEST(SrCompilerTest, ExecutorLatencyMatchesWindowSchedule)
+TEST_F(SrCompilerTest, ExecutorLatencyMatchesWindowSchedule)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const Torus torus({4, 4, 4});
@@ -116,13 +119,13 @@ TEST(SrCompilerTest, ExecutorLatencyMatchesWindowSchedule)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, torus, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * tm.tauC(g);
     const SrCompileResult r =
         compileScheduledRouting(g, torus, alloc, tm, cfg);
     ASSERT_TRUE(r.feasible) << r.detail;
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 30);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 30, root);
     const SeriesStats lat = ex.latencies(5);
     // Latency is at least the critical path and at most the
     // canonical tau_c-window latency.
@@ -130,7 +133,7 @@ TEST(SrCompilerTest, ExecutorLatencyMatchesWindowSchedule)
     EXPECT_LE(lat.max(), r.bounds.windowLatency + 1e-6);
 }
 
-TEST(SrCompilerTest, LsdBaselinePathsAlsoCompile)
+TEST_F(SrCompilerTest, LsdBaselinePathsAlsoCompile)
 {
     // With the deterministic routing-function paths, feasibility is
     // rarer, but whenever the compiler says feasible the verifier
@@ -142,7 +145,7 @@ TEST(SrCompilerTest, LsdBaselinePathsAlsoCompile)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, ghc, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 4.0 * tm.tauC(g);
     cfg.useAssignPaths = false;
     const SrCompileResult r =
@@ -154,7 +157,7 @@ TEST(SrCompilerTest, LsdBaselinePathsAlsoCompile)
     }
 }
 
-TEST(SrCompilerTest, GreedyMethodsCompileToo)
+TEST_F(SrCompilerTest, GreedyMethodsCompileToo)
 {
     const TaskFlowGraph g = buildDvbTfg({});
     const auto cube = GeneralizedHypercube::binaryCube(6);
@@ -163,7 +166,7 @@ TEST(SrCompilerTest, GreedyMethodsCompileToo)
     tm.apSpeed = dp.matchedApSpeed();
     tm.bandwidth = 128.0;
     const TaskAllocation alloc = alloc::roundRobin(g, cube, 13);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.5 * tm.tauC(g);
     cfg.allocMethod = AllocationMethod::Greedy;
     cfg.scheduling.method = SchedulingMethod::ListScheduling;
@@ -172,12 +175,12 @@ TEST(SrCompilerTest, GreedyMethodsCompileToo)
     if (r.feasible) {
         EXPECT_TRUE(r.verification.ok);
         const SrExecutionResult ex =
-            executeSchedule(g, alloc, tm, r.bounds, r.omega, 30);
+            executeSchedule(g, alloc, tm, r.bounds, r.omega, 30, root);
         EXPECT_TRUE(ex.consistent(5));
     }
 }
 
-TEST(SrCompilerTest, SrRemovesWormholeInconsistency)
+TEST_F(SrCompilerTest, SrRemovesWormholeInconsistency)
 {
     // The headline comparison at one load point: DVB on a 4x4x4
     // torus at B = 128 and maximum load. WR is inconsistent (or
@@ -192,18 +195,18 @@ TEST(SrCompilerTest, SrRemovesWormholeInconsistency)
     const Time period = tm.tauC(g);
 
     WormholeSimulator wsim(g, torus, alloc, tm);
-    WormholeConfig wcfg;
+    WormholeConfig wcfg{.ctx = &root};
     wcfg.inputPeriod = period;
     const WormholeResult wr = wsim.run(wcfg);
     EXPECT_TRUE(wr.outputInconsistent(wcfg.warmup));
 
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = period;
     const SrCompileResult r =
         compileScheduledRouting(g, torus, alloc, tm, cfg);
     ASSERT_TRUE(r.feasible) << r.detail;
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 40);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 40, root);
     EXPECT_TRUE(ex.consistent(10));
 }
 
@@ -222,6 +225,9 @@ struct SweepCase
 class SrCompilerSweep
     : public ::testing::TestWithParam<SweepCase>
 {
+  protected:
+    engine::EngineContext root;
+
   protected:
     std::unique_ptr<Topology>
     makeFabric(const std::string &which) const
@@ -259,7 +265,7 @@ TEST_P(SrCompilerSweep, FeasibleImpliesVerifiedAndConsistent)
     tm.bandwidth = 64.0;
 
     TaskAllocation alloc = alloc::random(g, *topo, rng);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod =
         tm.tauC(g) * rng.uniformReal(1.0, 4.0);
     cfg.assign.seed = static_cast<std::uint64_t>(param.seed);
@@ -276,7 +282,7 @@ TEST_P(SrCompilerSweep, FeasibleImpliesVerifiedAndConsistent)
     }
     EXPECT_TRUE(r.verification.ok);
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 30);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 30, root);
     EXPECT_TRUE(ex.consistent(5))
         << (ex.notes.empty() ? "" : ex.notes.front());
     EXPECT_NEAR(ex.outputIntervals(5).mean(), cfg.inputPeriod,

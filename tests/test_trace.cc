@@ -20,6 +20,7 @@
 #include "core/schedule_io.hh"
 #include "core/sr_compiler.hh"
 #include "cpsim/cp_simulator.hh"
+#include "engine_fixture.hh"
 #include "json_mini.hh"
 #include "mapping/allocation.hh"
 #include "metrics/metrics.hh"
@@ -48,26 +49,25 @@ struct DvbSetup
     }
 };
 
-/** Clears global tracer/metrics state around every test. */
-class TraceTest : public ::testing::Test
+/**
+ * Every test records into its own root context's tracer and
+ * registry, with both switched off around it.
+ */
+class TraceTest : public EngineTest
 {
   protected:
     void
     SetUp() override
     {
         trace::Tracer::setEnabled(false);
-        trace::Tracer::instance().clear();
         metrics::Registry::setEnabled(false);
-        metrics::Registry::global().clear();
     }
 
     void
     TearDown() override
     {
         trace::Tracer::setEnabled(false);
-        trace::Tracer::instance().clear();
         metrics::Registry::setEnabled(false);
-        metrics::Registry::global().clear();
     }
 };
 
@@ -76,27 +76,28 @@ TEST_F(TraceTest, DisabledPathRecordsNothing)
     ASSERT_FALSE(SRSIM_TRACE_ENABLED());
     // The guard every instrumentation site uses: with tracing off
     // the statement must not run, so nothing is recorded.
-    SRSIM_TRACE_IF(trace::linkAcquire(trace::Tracer::instance(), 0,
+    SRSIM_TRACE_IF(trace::linkAcquire(root.tracer(), 0,
                                       "m", 0, 0, 1.0));
     SRSIM_TRACE_IF(
-        trace::violation(trace::Tracer::instance(), "nope", 2.0));
-    EXPECT_EQ(trace::Tracer::instance().size(), 0u);
+        trace::violation(root.tracer(), "nope", 2.0));
+    EXPECT_EQ(root.tracer().size(), 0u);
 
     // A full instrumented run with tracing off records nothing.
     DvbSetup s;
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * s.tm.tauC(s.g);
     const SrCompileResult sr = compileScheduledRouting(
         s.g, s.cube, s.alloc, s.tm, cfg);
     ASSERT_TRUE(sr.feasible);
-    simulateCps(s.g, s.cube, s.alloc, s.tm, sr.bounds, sr.omega);
-    EXPECT_EQ(trace::Tracer::instance().size(), 0u);
+    CpSimConfig sim{.ctx = &root};
+    simulateCps(s.g, s.cube, s.alloc, s.tm, sr.bounds, sr.omega, sim);
+    EXPECT_EQ(root.tracer().size(), 0u);
 }
 
 TEST_F(TraceTest, TracingDoesNotChangeCompileResults)
 {
     DvbSetup s;
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * s.tm.tauC(s.g);
 
     const SrCompileResult off = compileScheduledRouting(
@@ -119,28 +120,28 @@ TEST_F(TraceTest, TracingDoesNotChangeCompileResults)
 
 /** Trace one full SR pipeline (compile + CP-level simulation). */
 std::string
-traceDvbSrRun()
+traceDvbSrRun(const engine::EngineContext &root)
 {
     DvbSetup s;
-    trace::Tracer::instance().clear();
     trace::Tracer::setEnabled(true);
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * s.tm.tauC(s.g);
     const SrCompileResult sr = compileScheduledRouting(
         s.g, s.cube, s.alloc, s.tm, cfg);
     EXPECT_TRUE(sr.feasible);
+    CpSimConfig sim{.ctx = &root};
     const CpSimResult r = simulateCps(s.g, s.cube, s.alloc, s.tm,
-                                      sr.bounds, sr.omega);
+                                      sr.bounds, sr.omega, sim);
     EXPECT_TRUE(r.ok());
     trace::Tracer::setEnabled(false);
     std::ostringstream oss;
-    trace::Tracer::instance().exportChrome(oss);
+    root.tracer().exportChrome(oss);
     return oss.str();
 }
 
 TEST_F(TraceTest, ChromeExportOfSrRunIsStructurallyValid)
 {
-    const std::string text = traceDvbSrRun();
+    const std::string text = traceDvbSrRun(root);
     const jsonmini::ValuePtr doc = jsonmini::parse(text);
 
     ASSERT_EQ(doc->kind, jsonmini::Value::Kind::Object);
@@ -236,7 +237,7 @@ TEST_F(TraceTest, WormholeTraceBalancesAcquireRelease)
 {
     DvbSetup s;
     trace::Tracer::setEnabled(true);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * s.tm.tauC(s.g);
     cfg.invocations = 10;
     cfg.warmup = 2;
@@ -248,7 +249,7 @@ TEST_F(TraceTest, WormholeTraceBalancesAcquireRelease)
     // Per link: acquires and releases alternate — a half-duplex
     // link has at most one holder at any time.
     std::map<std::int32_t, int> depth;
-    for (const trace::Event &e : trace::Tracer::instance().collect()) {
+    for (const trace::Event &e : root.tracer().collect()) {
         if (e.track != trace::TrackKind::Link)
             continue;
         if (e.type == trace::EventType::Begin) {
@@ -267,7 +268,7 @@ TEST_F(TraceTest, CsvExportHasHeaderAndOneRowPerEvent)
 {
     DvbSetup s;
     trace::Tracer::setEnabled(true);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 2.0 * s.tm.tauC(s.g);
     cfg.invocations = 3;
     cfg.warmup = 1;
@@ -275,10 +276,10 @@ TEST_F(TraceTest, CsvExportHasHeaderAndOneRowPerEvent)
     sim.run(cfg);
     trace::Tracer::setEnabled(false);
 
-    const std::size_t n = trace::Tracer::instance().size();
+    const std::size_t n = root.tracer().size();
     ASSERT_GT(n, 0u);
     std::ostringstream oss;
-    trace::Tracer::instance().exportCsv(oss);
+    root.tracer().exportCsv(oss);
     std::istringstream in(oss.str());
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
@@ -304,13 +305,13 @@ TEST_F(TraceTest, ScopedPhaseEmitsMatchedPairAndHistogram)
     metrics::Registry::setEnabled(true);
     {
         trace::ScopedPhase phase("unit_test_phase",
-                                 trace::Tracer::instance(),
-                                 metrics::Registry::global());
+                                 root.tracer(),
+                                 root.metricsRegistry());
     }
     trace::Tracer::setEnabled(false);
     metrics::Registry::setEnabled(false);
 
-    const auto events = trace::Tracer::instance().collect();
+    const auto events = root.tracer().collect();
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].type, trace::EventType::Begin);
     EXPECT_EQ(events[1].type, trace::EventType::End);
@@ -318,7 +319,7 @@ TEST_F(TraceTest, ScopedPhaseEmitsMatchedPairAndHistogram)
     EXPECT_EQ(events[0].track, trace::TrackKind::Compiler);
     EXPECT_GE(events[1].ts, events[0].ts);
 
-    auto &h = metrics::Registry::global().histogram(
+    auto &h = root.metricsRegistry().histogram(
         "sr.phase_ms.unit_test_phase",
         metrics::Histogram::timeBucketsMs());
     EXPECT_EQ(h.count(), 1u);

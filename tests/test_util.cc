@@ -37,6 +37,36 @@ TEST(ParseTest, AcceptsOnlyOneWholeFiniteNumber)
     EXPECT_FALSE(parseFinite(std::string("1\0" "2", 3), &v));
 }
 
+TEST(ParseTest, UnsignedIsWholeTokenAndRangeChecked)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(parseUnsigned("0", 0, 10, &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseUnsigned("007", 0, 10, &v));
+    EXPECT_EQ(v, 7u);
+    EXPECT_TRUE(parseUnsigned("18446744073709551615", 0, UINT64_MAX,
+                              &v));
+    EXPECT_EQ(v, UINT64_MAX);
+    for (const char *bad :
+         {"", "-1", "+5", "1.5", "1e3", " 7", "7 ", "abc", "nan",
+          "18446744073709551616", "99999999999999999999999"}) {
+        v = 42;
+        EXPECT_FALSE(parseUnsigned(bad, 0, UINT64_MAX, &v))
+            << "'" << bad << "'";
+        EXPECT_EQ(v, 42u) << "'" << bad << "'";
+    }
+    // [lo, hi] is inclusive at both ends.
+    EXPECT_FALSE(parseUnsigned("0", 1, 64, &v));
+    EXPECT_TRUE(parseUnsigned("1", 1, 64, &v));
+    EXPECT_TRUE(parseUnsigned("64", 1, 64, &v));
+    EXPECT_FALSE(parseUnsigned("65", 1, 64, &v));
+    EXPECT_FALSE(parseUnsigned("640", 1, 64, &v));
+    int stride = 0;
+    EXPECT_TRUE(parseStride("2147483647", &stride));
+    EXPECT_FALSE(parseStride("2147483648", &stride));
+    EXPECT_FALSE(parseStride("0", &stride));
+}
+
 TEST(TimeTest, EqualityWithinEps)
 {
     EXPECT_TRUE(timeEq(1.0, 1.0 + kTimeEps / 2));

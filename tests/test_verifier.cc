@@ -8,6 +8,7 @@
 
 #include "core/sr_compiler.hh"
 #include "core/verifier.hh"
+#include "engine_fixture.hh"
 #include "fuzz/differential.hh"
 #include "fuzz/generator.hh"
 #include "mapping/allocation.hh"
@@ -19,7 +20,7 @@ namespace srsim {
 namespace {
 
 /** Compile a small feasible schedule to corrupt. */
-struct VerifierFixture : public ::testing::Test
+struct VerifierFixture : public EngineTest
 {
     TaskFlowGraph g;
     GeneralizedHypercube cube = GeneralizedHypercube::binaryCube(3);
@@ -44,7 +45,7 @@ struct VerifierFixture : public ::testing::Test
         alloc.assign(1, 3);
         alloc.assign(2, 5);
         alloc.assign(3, 6);
-        SrCompilerConfig cfg;
+        SrCompilerConfig cfg{.ctx = &root};
         cfg.inputPeriod = 50.0;
         sr = compileScheduledRouting(g, cube, alloc, tm, cfg);
         ASSERT_TRUE(sr.feasible) << sr.detail;
@@ -149,7 +150,10 @@ TEST_F(VerifierFixture, RejectsEmptySegment)
 // ---------------------------------------------------------------
 
 class VerifierMiniFuzz : public ::testing::TestWithParam<int>
-{};
+{
+  protected:
+    engine::EngineContext root;
+};
 
 TEST_P(VerifierMiniFuzz, OraclesAgreeOnSeed)
 {
@@ -158,7 +162,7 @@ TEST_P(VerifierMiniFuzz, OraclesAgreeOnSeed)
     fuzz::RunOptions opts;
     opts.invocations = 12; // keep the per-seed cost test-sized
     opts.warmup = 3;
-    const fuzz::RunResult r = fuzz::runCase(c, opts);
+    const fuzz::RunResult r = fuzz::runCase(c, root, opts);
     EXPECT_FALSE(r.failed())
         << "seed " << seed << ": " << r.report;
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_fixture.hh"
 #include "mapping/allocation.hh"
 #include "tfg/tfg.hh"
 #include "tfg/timing.hh"
@@ -17,6 +18,8 @@
 
 namespace srsim {
 namespace {
+
+using WormholeTest = EngineTest;
 
 /** Two tasks, one message, endpoints adjacent. */
 struct SingleMessageFixture
@@ -34,7 +37,7 @@ struct SingleMessageFixture
     }
 };
 
-TEST(WormholeTest, SingleMessageEndToEndTiming)
+TEST_F(WormholeTest, SingleMessageEndToEndTiming)
 {
     SingleMessageFixture f;
     const auto cube = GeneralizedHypercube::binaryCube(3);
@@ -42,7 +45,7 @@ TEST(WormholeTest, SingleMessageEndToEndTiming)
     a.assign(0, 0);
     a.assign(1, 1);
     WormholeSimulator sim(f.g, cube, a, f.tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 100.0;
     cfg.invocations = 5;
     cfg.warmup = 1;
@@ -57,7 +60,7 @@ TEST(WormholeTest, SingleMessageEndToEndTiming)
     EXPECT_FALSE(r.outputInconsistent(cfg.warmup));
 }
 
-TEST(WormholeTest, CoLocatedMessageBypassesNetwork)
+TEST_F(WormholeTest, CoLocatedMessageBypassesNetwork)
 {
     SingleMessageFixture f;
     const auto cube = GeneralizedHypercube::binaryCube(3);
@@ -65,7 +68,7 @@ TEST(WormholeTest, CoLocatedMessageBypassesNetwork)
     a.assign(0, 2);
     a.assign(1, 2);
     WormholeSimulator sim(f.g, cube, a, f.tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 100.0;
     cfg.invocations = 3;
     cfg.warmup = 1;
@@ -76,7 +79,7 @@ TEST(WormholeTest, CoLocatedMessageBypassesNetwork)
     EXPECT_DOUBLE_EQ(r.records[0].latency(), 20.0);
 }
 
-TEST(WormholeTest, MultiHopPathHeldForWholeTransmission)
+TEST_F(WormholeTest, MultiHopPathHeldForWholeTransmission)
 {
     // Two messages whose LSD-to-MSD paths share the middle link.
     // M1: 0 -> 3 via 0-1-3; M2: 1 -> 7 via 1-3-7. They share link
@@ -102,7 +105,7 @@ TEST(WormholeTest, MultiHopPathHeldForWholeTransmission)
     EXPECT_EQ(sim.pathOf(0).nodes, (std::vector<NodeId>{0, 1, 3}));
     EXPECT_EQ(sim.pathOf(1).nodes, (std::vector<NodeId>{1, 3, 7}));
 
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 200.0;
     cfg.invocations = 3;
     cfg.warmup = 0;
@@ -114,7 +117,7 @@ TEST(WormholeTest, MultiHopPathHeldForWholeTransmission)
     EXPECT_DOUBLE_EQ(r.records[0].latency(), 40.0);
 }
 
-TEST(WormholeTest, SetPathValidatesEndpoints)
+TEST_F(WormholeTest, SetPathValidatesEndpoints)
 {
     SingleMessageFixture f;
     const auto cube = GeneralizedHypercube::binaryCube(3);
@@ -159,7 +162,7 @@ class Section3Claim : public ::testing::TestWithParam<double>
         a.assign(B, 1);
         a.assign(C, 0);
         WormholeSimulator sim(g, ring, a, tm);
-        WormholeConfig cfg;
+        WormholeConfig cfg{.ctx = &root};
         cfg.inputPeriod = tau_in;
         cfg.invocations = invocations;
         cfg.warmup = warmup;
@@ -167,6 +170,7 @@ class Section3Claim : public ::testing::TestWithParam<double>
         return sim.run(cfg);
     }
     int warmup_ = 0;
+    engine::EngineContext root;
 };
 
 TEST_P(Section3Claim, SharedLinkCausesOutputInconsistency)
@@ -187,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(Periods, Section3Claim,
                          ::testing::Values(101.0, 104.0, 107.0,
                                            109.0));
 
-TEST(WormholeTest, LargePeriodRemovesInterInvocationContention)
+TEST_F(WormholeTest, LargePeriodRemovesInterInvocationContention)
 {
     // Same scenario, but tau_in so large that invocations never
     // overlap: output intervals become constant.
@@ -206,7 +210,7 @@ TEST(WormholeTest, LargePeriodRemovesInterInvocationContention)
     a.assign(B, 1);
     a.assign(C, 0);
     WormholeSimulator sim(g, ring, a, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 500.0;
     cfg.invocations = 20;
     cfg.warmup = 4;
@@ -215,7 +219,7 @@ TEST(WormholeTest, LargePeriodRemovesInterInvocationContention)
     EXPECT_FALSE(r.outputInconsistent(cfg.warmup));
 }
 
-TEST(WormholeTest, DeadlockDetectedOnCyclicHoldAndWait)
+TEST_F(WormholeTest, DeadlockDetectedOnCyclicHoldAndWait)
 {
     // On a 6-ring, a blocker message occupies link 2-3 while mB
     // (1 -> 4, route 1-2-3-4) holds links 1-2 and 2-3's queue and
@@ -251,7 +255,7 @@ TEST(WormholeTest, DeadlockDetectedOnCyclicHoldAndWait)
     ASSERT_EQ(sim.pathOf(1).nodes, (std::vector<NodeId>{1, 2, 3, 4}));
     ASSERT_EQ(sim.pathOf(2).nodes, (std::vector<NodeId>{4, 3, 2}));
 
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 1000.0;
     cfg.invocations = 2;
     cfg.warmup = 0;
@@ -262,7 +266,7 @@ TEST(WormholeTest, DeadlockDetectedOnCyclicHoldAndWait)
     EXPECT_TRUE(r.outputInconsistent(cfg.warmup));
 }
 
-TEST(WormholeTest, ApQueuesSuccessiveInvocations)
+TEST_F(WormholeTest, ApQueuesSuccessiveInvocations)
 {
     // One task only; invocations arrive faster than downstream
     // work would allow if the task were slower than the period --
@@ -275,7 +279,7 @@ TEST(WormholeTest, ApQueuesSuccessiveInvocations)
     TaskAllocation a(1, cube.numNodes());
     a.assign(0, 0);
     WormholeSimulator sim(g, cube, a, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = 10.0; // == task time
     cfg.invocations = 10;
     cfg.warmup = 2;
@@ -285,7 +289,7 @@ TEST(WormholeTest, ApQueuesSuccessiveInvocations)
     EXPECT_DOUBLE_EQ(r.records.back().complete, 9 * 10.0 + 10.0);
 }
 
-TEST(WormholeTest, ConfigValidation)
+TEST_F(WormholeTest, ConfigValidation)
 {
     SingleMessageFixture f;
     const auto cube = GeneralizedHypercube::binaryCube(3);
@@ -293,7 +297,7 @@ TEST(WormholeTest, ConfigValidation)
     a.assign(0, 0);
     a.assign(1, 1);
     WormholeSimulator sim(f.g, cube, a, f.tm);
-    WormholeConfig bad;
+    WormholeConfig bad{.ctx = &root};
     bad.inputPeriod = 0.0;
     EXPECT_THROW(sim.run(bad), FatalError);
     bad.inputPeriod = 10.0;
@@ -302,7 +306,7 @@ TEST(WormholeTest, ConfigValidation)
     EXPECT_THROW(sim.run(bad), FatalError);
 }
 
-TEST(WormholeTest, IncompleteAllocationIsFatal)
+TEST_F(WormholeTest, IncompleteAllocationIsFatal)
 {
     SingleMessageFixture f;
     const auto cube = GeneralizedHypercube::binaryCube(3);

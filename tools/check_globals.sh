@@ -1,63 +1,37 @@
 #!/bin/sh
-# Ratchet against re-introducing process-global service access.
+# Ratchet against re-introducing ambient environment reads.
 #
-# The engine-context refactor moved every compile/simulate/serve
-# path off the ambient singletons: code receives its metrics
-# registry, tracer and thread pool through an explicit
-# EngineContext. This check keeps it that way — it fails on
-# any NEW use of
+# Code receives its metrics registry, tracer and thread pool through
+# an explicit engine::EngineContext (DESIGN.md §14); there is no
+# process-wide registry or tracer left to reach. The one ambient
+# input that remains is the environment, so this check fails on any
+# NEW use of
 #
-#   Registry::global()     (metrics)
-#   Tracer::instance()     (tracing)
 #   std::getenv            (environment reads)
 #
-# in product code (src/) outside the sanctioned zones:
-#
-#   src/util/                the process-singleton implementations
-#                            themselves (thread pool)
-#   src/metrics/metrics.cc   Registry::global()'s own definition
-#   src/trace/trace.cc       Tracer::instance()'s own definition
-#   src/engine/context.cc    the default-context escape hatch
-#
-# tools/ (the CLI entry points) is outside the scan: that is the one
-# layer allowed to resolve the environment and process singletons —
-# exactly once, into the root context. Tests and benches are also
-# out of scope; the suites that exercise the singletons (test_trace,
-# test_metrics) must keep reaching them directly. Run from the
-# repository root; exits non-zero with one line per violation.
+# in product code (src/) outside src/util/, where the shared thread
+# pool reads SRSIM_THREADS once when it is first built. tools/ (the
+# CLI entry points) is outside the scan: that is the one layer
+# allowed to resolve the environment, exactly once, into the root
+# context. Run from the repository root; exits non-zero with one
+# line per violation.
 
 set -u
 
-status=0
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-scan() {
-    pattern="$1"
-    label="$2"
-    # Comment lines (leading // or *) may cite the globals when
-    # documenting the refactor; only code lines count.
-    grep -rn "$pattern" src 2>/dev/null |
-        grep -v '^src/util/' |
-        grep -v '^src/metrics/metrics\.cc:' |
-        grep -v '^src/trace/trace\.cc:' |
-        grep -v '^src/engine/context\.cc:' |
-        grep -v -E '^[^:]+:[0-9]+:[[:space:]]*(//|\*)' >"$out" || true
-    if [ -s "$out" ]; then
-        echo "check_globals: new $label use outside sanctioned zones:"
-        sed 's/^/  /' "$out"
-        status=1
-    fi
-}
+# Comment lines (leading // or *) may cite the call when documenting
+# the policy; only code lines count.
+grep -rn 'std::getenv' src 2>/dev/null |
+    grep -v '^src/util/' |
+    grep -v -E '^[^:]+:[0-9]+:[[:space:]]*(//|\*)' >"$out" || true
 
-scan 'Registry::global()' 'Registry::global()'
-scan 'Tracer::instance()' 'Tracer::instance()'
-scan 'std::getenv' 'std::getenv'
-
-if [ "$status" -ne 0 ]; then
-    echo "check_globals: FAILED — route these through an" \
-         "engine::EngineContext (see DESIGN.md §14)." >&2
-else
-    echo "check_globals: ok"
+if [ -s "$out" ]; then
+    echo "check_globals: new std::getenv use outside src/util/:"
+    sed 's/^/  /' "$out"
+    echo "check_globals: FAILED — resolve the environment at CLI" \
+         "entry and pass it down (see DESIGN.md §14)." >&2
+    exit 1
 fi
-exit "$status"
+echo "check_globals: ok"

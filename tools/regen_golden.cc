@@ -44,14 +44,15 @@ main(int argc, char **argv)
 {
     const std::string dir = argc > 1 ? argv[1] : "tests/golden";
     try {
+        const srsim::engine::EngineContext root;
         for (const auto &gc : srsim::golden::goldenCases())
             if (!writeCase(dir, gc.name,
-                           srsim::golden::compileGoldenCase(gc)))
+                           srsim::golden::compileGoldenCase(gc, root)))
                 return 1;
         for (const auto &cc : srsim::golden::churnCases())
             if (!writeCase(
                     dir, cc.name,
-                    srsim::golden::runChurnCase(cc).scheduleText))
+                    srsim::golden::runChurnCase(cc, root).scheduleText))
                 return 1;
     } catch (const srsim::FatalError &e) {
         std::cerr << "regen_golden: " << e.what() << "\n";

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/context.hh"
 #include "fuzz/differential.hh"
 #include "fuzz/fuzz_case.hh"
 #include "fuzz/generator.hh"
@@ -141,7 +142,7 @@ operator<<(std::ostream &os, const Tally &t)
 /** Shrink (unless disabled) and dump a failing case. */
 void
 dumpFailure(const fuzz::FuzzCase &c, const fuzz::RunResult &r,
-            const Options &opts)
+            const Options &opts, const engine::EngineContext &root)
 {
     const fuzz::RunOptions run_opts{
         static_cast<int>(opts.num("invocations", 30)), 5, 1e-6};
@@ -152,7 +153,7 @@ dumpFailure(const fuzz::FuzzCase &c, const fuzz::RunResult &r,
         final = fuzz::shrinkCase(
             c,
             [&](const fuzz::FuzzCase &cand) {
-                return fuzz::runCase(cand, run_opts).failed();
+                return fuzz::runCase(cand, root, run_opts).failed();
             },
             static_cast<std::size_t>(
                 opts.num("max-shrink-evals", 400)),
@@ -179,18 +180,19 @@ dumpFailure(const fuzz::FuzzCase &c, const fuzz::RunResult &r,
 
 /** Run one generated seed; returns its verdict. */
 fuzz::Verdict
-runSeed(std::uint64_t seed, const Options &opts, const bool quiet)
+runSeed(std::uint64_t seed, const Options &opts, const bool quiet,
+        const engine::EngineContext &root)
 {
     const fuzz::RunOptions run_opts{
         static_cast<int>(opts.num("invocations", 30)), 5, 1e-6};
     const fuzz::FuzzCase c = opts.has("multi")
                                  ? fuzz::generateMultiCase(seed)
                                  : fuzz::generateCase(seed);
-    const fuzz::RunResult r = fuzz::runCase(c, run_opts);
+    const fuzz::RunResult r = fuzz::runCase(c, root, run_opts);
     if (r.failed()) {
         std::cerr << "seed " << seed << " FAILURE: " << r.report
                   << "\n";
-        dumpFailure(c, r, opts);
+        dumpFailure(c, r, opts, root);
     } else if (!quiet) {
         std::cout << "seed " << seed << ": "
                   << fuzz::verdictName(r.verdict) << "\n";
@@ -199,7 +201,7 @@ runSeed(std::uint64_t seed, const Options &opts, const bool quiet)
 }
 
 int
-cmdSeeds(const Options &opts)
+cmdSeeds(const Options &opts, const engine::EngineContext &root)
 {
     const auto start =
         static_cast<std::uint64_t>(opts.num("start", 0));
@@ -208,14 +210,14 @@ cmdSeeds(const Options &opts)
 
     Tally tally;
     for (std::uint64_t s = start; s < start + n; ++s)
-        tally.add(runSeed(s, opts, quiet));
+        tally.add(runSeed(s, opts, quiet, root));
     std::cout << "srfuzz seeds " << start << ".."
               << (start + n - 1) << ": " << tally << "\n";
     return tally.failures ? 1 : 0;
 }
 
 int
-cmdMinutes(const Options &opts)
+cmdMinutes(const Options &opts, const engine::EngineContext &root)
 {
     const auto start =
         static_cast<std::uint64_t>(opts.num("start", 0));
@@ -230,7 +232,7 @@ cmdMinutes(const Options &opts)
     Tally tally;
     std::uint64_t s = start;
     while (std::chrono::steady_clock::now() < deadline)
-        tally.add(runSeed(s++, opts, quiet));
+        tally.add(runSeed(s++, opts, quiet, root));
     std::cout << "srfuzz minutes " << minutes << " (seeds " << start
               << ".." << (s - 1) << "): " << tally << "\n";
     return tally.failures ? 1 : 0;
@@ -238,7 +240,7 @@ cmdMinutes(const Options &opts)
 
 int
 replayOne(const std::filesystem::path &path, const Options &opts,
-          Tally &tally)
+          const engine::EngineContext &root, Tally &tally)
 {
     std::ifstream in(path);
     if (!in)
@@ -246,7 +248,7 @@ replayOne(const std::filesystem::path &path, const Options &opts,
     const fuzz::FuzzCase c = fuzz::readFuzzCase(in);
     const fuzz::RunOptions run_opts{
         static_cast<int>(opts.num("invocations", 30)), 5, 1e-6};
-    const fuzz::RunResult r = fuzz::runCase(c, run_opts);
+    const fuzz::RunResult r = fuzz::runCase(c, root, run_opts);
     tally.add(r.verdict);
     std::cout << path.string() << ": "
               << fuzz::verdictName(r.verdict)
@@ -256,7 +258,7 @@ replayOne(const std::filesystem::path &path, const Options &opts,
         const fuzz::FuzzCase min = fuzz::shrinkCase(
             c,
             [&](const fuzz::FuzzCase &cand) {
-                return fuzz::runCase(cand, run_opts).failed();
+                return fuzz::runCase(cand, root, run_opts).failed();
             },
             static_cast<std::size_t>(
                 opts.num("max-shrink-evals", 400)));
@@ -274,10 +276,10 @@ replayOne(const std::filesystem::path &path, const Options &opts,
 }
 
 int
-cmdReplay(const Options &opts)
+cmdReplay(const Options &opts, const engine::EngineContext &root)
 {
     Tally tally;
-    return replayOne(opts.str("replay"), opts, tally);
+    return replayOne(opts.str("replay"), opts, root, tally);
 }
 
 int
@@ -295,7 +297,7 @@ cmdEmit(const Options &opts)
 }
 
 int
-cmdCorpus(const Options &opts)
+cmdCorpus(const Options &opts, const engine::EngineContext &root)
 {
     const std::filesystem::path dir(opts.str("corpus"));
     if (!std::filesystem::is_directory(dir))
@@ -311,7 +313,7 @@ cmdCorpus(const Options &opts)
 
     Tally tally;
     for (const auto &f : files)
-        replayOne(f, opts, tally);
+        replayOne(f, opts, root, tally);
     std::cout << "srfuzz corpus " << dir.string() << ": " << tally
               << "\n";
     return tally.failures ? 1 : 0;
@@ -368,17 +370,18 @@ main(int argc, char **argv)
         srsim::lp::setSolverDiff(true);
 
     try {
+        const srsim::engine::EngineContext root;
         int rc;
         if (opts.has("replay"))
-            rc = cmdReplay(opts);
+            rc = cmdReplay(opts, root);
         else if (opts.has("emit-seed"))
             rc = cmdEmit(opts);
         else if (opts.has("corpus"))
-            rc = cmdCorpus(opts);
+            rc = cmdCorpus(opts, root);
         else if (opts.has("minutes"))
-            rc = cmdMinutes(opts);
+            rc = cmdMinutes(opts, root);
         else if (opts.has("seeds"))
-            rc = cmdSeeds(opts);
+            rc = cmdSeeds(opts, root);
         else
             return usage();
         return solver_diff ? finishSolverDiff(rc) : rc;

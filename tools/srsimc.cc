@@ -36,7 +36,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -66,6 +65,7 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
+#include "util/thread_pool.hh"
 #include "wormhole/wormhole.hh"
 
 namespace {
@@ -199,22 +199,20 @@ knownFlags()
 }
 
 /**
- * Configure the process-default engine context from the command
- * line, exactly once, before any engine work runs. Precedence for
- * the thread budget: --threads N beats SRSIM_THREADS beats the
- * hardware concurrency (the pool's own default).
+ * Size the shared pool the root context runs on, exactly once,
+ * before any engine work runs. Precedence for the thread budget:
+ * --threads N beats SRSIM_THREADS beats the hardware concurrency
+ * (the pool's own default).
  */
 void
-configureRootContext(const Options &opts)
+configureProcess(const Options &opts)
 {
-    std::optional<std::size_t> threads;
     if (opts.has("threads")) {
         const double n = opts.num("threads", 0.0);
         if (n < 1.0)
             fatal("invalid input: --threads must be >= 1");
-        threads = static_cast<std::size_t>(n);
+        ThreadPool::setGlobalSize(static_cast<std::size_t>(n));
     }
-    engine::EngineContext::configureProcess(threads);
 }
 
 /** Reject flags the command does not understand. */
@@ -239,24 +237,22 @@ validateFlags(const Options &opts)
 /**
  * Switch tracing / metrics on when --trace / --metrics ask for an
  * output file. Must run before the instrumented work: the sites
- * check the enabled flags at entry.
+ * check the enabled flags at entry. The root context's tracer and
+ * registry start empty, so there is nothing to clear.
  */
 void
 enableObservability(const Options &opts)
 {
-    if (opts.has("trace")) {
-        trace::Tracer::instance().clear();
+    if (opts.has("trace"))
         trace::Tracer::setEnabled(true);
-    }
-    if (opts.has("metrics")) {
-        metrics::Registry::global().clear();
+    if (opts.has("metrics"))
         metrics::Registry::setEnabled(true);
-    }
 }
 
-/** Export whatever enableObservability turned on. */
+/** Export whatever enableObservability turned on from `root`. */
 void
-writeObservability(const Options &opts)
+writeObservability(const Options &opts,
+                   const engine::EngineContext &root)
 {
     if (opts.has("trace")) {
         trace::Tracer::setEnabled(false);
@@ -266,9 +262,9 @@ writeObservability(const Options &opts)
             fatal("cannot write '", path, "'");
         const std::string fmt = opts.str("trace-format", "chrome");
         if (fmt == "chrome")
-            trace::Tracer::instance().exportChrome(out);
+            root.tracer().exportChrome(out);
         else if (fmt == "csv")
-            trace::Tracer::instance().exportCsv(out);
+            root.tracer().exportCsv(out);
         else
             fatal("unknown --trace-format '", fmt,
                   "' (expected chrome or csv)");
@@ -281,7 +277,7 @@ writeObservability(const Options &opts)
         std::ofstream out(path);
         if (!out)
             fatal("cannot write '", path, "'");
-        metrics::Registry::global().exportJson(out);
+        root.metricsRegistry().exportJson(out);
         out << "\n";
         std::cout << "metrics written to " << path << "\n";
     }
@@ -302,7 +298,7 @@ loadTfg(const Options &opts)
 TaskAllocation
 makeAllocation(const Options &opts, const TaskFlowGraph &g,
                const Topology &topo, const TimingModel &tm,
-               Time period)
+               Time period, const engine::EngineContext &root)
 {
     const std::string kind = opts.str("alloc", "greedy");
     Rng rng(static_cast<std::uint64_t>(opts.num("seed", 1)));
@@ -320,7 +316,7 @@ makeAllocation(const Options &opts, const TaskFlowGraph &g,
     if (kind == "coupled") {
         const TaskAllocation seed = alloc::greedy(g, topo);
         CoupledAllocationResult coupled = coupleAllocationWithPaths(
-            g, topo, tm, period, seed, rng);
+            g, topo, tm, period, seed, rng, root);
         if (!coupled.ok)
             fatal("coupled allocation failed: ", coupled.error);
         return std::move(coupled.allocation);
@@ -350,7 +346,7 @@ cmdInfo(const Options &opts)
 }
 
 int
-cmdCompile(const Options &opts)
+cmdCompile(const Options &opts, const engine::EngineContext &root)
 {
     const TaskFlowGraph g = loadTfg(opts);
     const auto topo = makeTopology(opts.str("topo"));
@@ -360,11 +356,11 @@ cmdCompile(const Options &opts)
     const Time period = opts.period();
 
     const TaskAllocation alloc =
-        makeAllocation(opts, g, *topo, tm, period);
+        makeAllocation(opts, g, *topo, tm, period, root);
 
     enableObservability(opts);
 
-    SrCompilerConfig cfg;
+    SrCompilerConfig cfg{.ctx = &root};
     cfg.inputPeriod = period;
     cfg.feedbackRounds = static_cast<int>(opts.num("feedback", 0));
     cfg.scheduling.guardTime = opts.num("guard", 0.0);
@@ -377,18 +373,20 @@ cmdCompile(const Options &opts)
         std::cout << "infeasible at period " << period << " us: "
                   << r.detail << " (stage "
                   << srFailureStageName(r.stage) << ")\n";
-        writeObservability(opts);
+        writeObservability(opts, root);
         return 1;
     }
 
     const SrExecutionResult ex =
-        executeSchedule(g, alloc, tm, r.bounds, r.omega, 30);
+        executeSchedule(g, alloc, tm, r.bounds, r.omega, 30, root);
 
     // Tracing a compile also runs the CP-level simulation so the
     // trace carries link-occupancy and crossbar-command tracks, not
     // just compiler phases.
-    if (opts.has("trace") || opts.has("metrics"))
-        simulateCps(g, *topo, alloc, tm, r.bounds, r.omega);
+    if (opts.has("trace") || opts.has("metrics")) {
+        CpSimConfig sim{.ctx = &root};
+        simulateCps(g, *topo, alloc, tm, r.bounds, r.omega, sim);
+    }
 
     std::cout << "feasible: " << r.bounds.messages.size()
               << " network messages, peak U = "
@@ -416,7 +414,7 @@ cmdCompile(const Options &opts)
         if (!rep.feasible) {
             std::cout << "degraded-mode repair FAILED: "
                       << rep.detail << "\n";
-            writeObservability(opts);
+            writeObservability(opts, root);
             return 1;
         }
         int nFate[4] = {0, 0, 0, 0};
@@ -470,12 +468,12 @@ cmdCompile(const Options &opts)
             if (!ns.commands.empty())
                 printNodeSchedule(std::cout, ns, g);
     }
-    writeObservability(opts);
+    writeObservability(opts, root);
     return 0;
 }
 
 int
-cmdSimulate(const Options &opts)
+cmdSimulate(const Options &opts, const engine::EngineContext &root)
 {
     const TaskFlowGraph g = loadTfg(opts);
     const auto topo = makeTopology(opts.str("topo"));
@@ -485,18 +483,18 @@ cmdSimulate(const Options &opts)
     const Time period = opts.period();
 
     const TaskAllocation alloc =
-        makeAllocation(opts, g, *topo, tm, period);
+        makeAllocation(opts, g, *topo, tm, period, root);
 
     enableObservability(opts);
 
     WormholeSimulator sim(g, *topo, alloc, tm);
-    WormholeConfig cfg;
+    WormholeConfig cfg{.ctx = &root};
     cfg.inputPeriod = period;
     cfg.invocations =
         static_cast<int>(opts.num("invocations", 60));
     cfg.virtualChannels = static_cast<int>(opts.num("vc", 1));
     const WormholeResult r = sim.run(cfg);
-    writeObservability(opts);
+    writeObservability(opts, root);
 
     if (r.deadlocked) {
         std::cout << "wormhole routing DEADLOCKED: "
@@ -590,7 +588,7 @@ percentileOf(std::vector<double> sorted, double p)
 }
 
 int
-cmdServe(const Options &opts)
+cmdServe(const Options &opts, const engine::EngineContext &root)
 {
     const TaskFlowGraph g = loadTfg(opts);
     auto topo = makeTopology(opts.str("topo"));
@@ -600,7 +598,7 @@ cmdServe(const Options &opts)
     const Time period = opts.period();
 
     const TaskAllocation alloc =
-        makeAllocation(opts, g, *topo, tm, period);
+        makeAllocation(opts, g, *topo, tm, period, root);
 
     // --preload exercises the hardened schedule reader: a corrupt
     // or truncated file is reported and skipped, never an abort.
@@ -622,7 +620,7 @@ cmdServe(const Options &opts)
 
     enableObservability(opts);
 
-    online::OnlineSchedulerConfig cfg;
+    online::OnlineSchedulerConfig cfg{.compiler = {.ctx = &root}};
     cfg.compiler.inputPeriod = period;
     cfg.compiler.feedbackRounds =
         static_cast<int>(opts.num("feedback", 0));
@@ -680,7 +678,7 @@ cmdServe(const Options &opts)
         *os << "\n";
     }
     if (!first.accepted) {
-        writeObservability(opts);
+        writeObservability(opts, root);
         std::cerr << "initial compile rejected ("
                   << online::rejectReasonName(first.reason)
                   << "): " << first.detail << "\n";
@@ -784,7 +782,7 @@ cmdServe(const Options &opts)
         *os << "\n";
     }
 
-    writeObservability(opts);
+    writeObservability(opts, root);
     return 0;
 }
 
@@ -816,7 +814,7 @@ writeDaemonResponseJson(JsonWriter &w,
 }
 
 int
-cmdDaemon(const Options &opts)
+cmdDaemon(const Options &opts, const engine::EngineContext &root)
 {
     // Parse the whole script before constructing the daemon so a
     // malformed line is a usage error, not a half-applied run.
@@ -845,7 +843,7 @@ cmdDaemon(const Options &opts)
 
     enableObservability(opts);
 
-    server::DaemonConfig cfg;
+    server::DaemonConfig cfg{.ctx = &root};
     cfg.workers =
         static_cast<std::size_t>(opts.num("workers", 1));
     cfg.queueCap =
@@ -980,7 +978,7 @@ cmdDaemon(const Options &opts)
         *os << "\n";
     }
 
-    writeObservability(opts);
+    writeObservability(opts, root);
     return 0;
 }
 
@@ -1014,17 +1012,18 @@ main(int argc, char **argv)
 
     try {
         validateFlags(opts);
-        configureRootContext(opts);
+        configureProcess(opts);
+        const engine::EngineContext root;
         if (opts.command == "info")
             return cmdInfo(opts);
         if (opts.command == "compile")
-            return cmdCompile(opts);
+            return cmdCompile(opts, root);
         if (opts.command == "simulate")
-            return cmdSimulate(opts);
+            return cmdSimulate(opts, root);
         if (opts.command == "serve")
-            return cmdServe(opts);
+            return cmdServe(opts, root);
         if (opts.command == "daemon")
-            return cmdDaemon(opts);
+            return cmdDaemon(opts, root);
         return usage();
     } catch (const srsim::FatalError &) {
         return 2;
