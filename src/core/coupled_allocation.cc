@@ -112,8 +112,7 @@ coupleAllocationWithPaths(const TaskFlowGraph &g,
 
     out.allocation = best;
     AssignPathsOptions scoring = opts.scoring;
-    if (scoring.ctx == nullptr)
-        scoring.ctx = &ctx;
+    scoring.ctx = &ctx;
     out.peakUtilization =
         fullScore(g, topo, tm, inputPeriod, best, scoring);
     return out;

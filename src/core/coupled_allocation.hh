@@ -40,7 +40,10 @@ struct CoupledAllocationOptions
     double initialTemperature = 0.3;
     /** Geometric cooling factor per iteration. */
     double cooling = 0.99;
-    /** AssignPaths effort used to score accepted incumbents. */
+    /**
+     * AssignPaths effort used to score accepted incumbents. Its
+     * `ctx` is replaced by the search's own context.
+     */
     AssignPathsOptions scoring;
 
     CoupledAllocationOptions()
@@ -71,8 +74,8 @@ struct CoupledAllocationResult
  * utilization at `inputPeriod`.
  *
  * @param seedAllocation starting point (must be complete)
- * @param ctx engine context the scoring AssignPaths runs under,
- *        unless `opts.scoring` names its own
+ * @param ctx engine context the scoring AssignPaths runs under
+ *        (`opts.scoring.ctx` is not read)
  */
 CoupledAllocationResult
 coupleAllocationWithPaths(const TaskFlowGraph &g,

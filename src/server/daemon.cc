@@ -91,7 +91,12 @@ SchedulingDaemon::makeSessionContext(const SessionConfig &sc) const
     co.name = "session." + sc.name;
     co.threads = sc.threads;
     co.baseSeed = sc.seed;
-    return root_->createChild(co);
+    try {
+        return root_->createChild(co);
+    } catch (const std::system_error &e) {
+        // The host refused the session's private threads.
+        fatal("cannot start session threads: ", e.what());
+    }
 }
 
 void
@@ -323,21 +328,30 @@ SchedulingDaemon::restoreFromSnapshot(const DaemonSnapshot &snap,
             return false;
         }
 
-        auto sctx = makeSessionContext(ss.cfg);
-        online::OnlineSchedulerConfig ocfg;
-        ocfg.compiler.ctx = sctx.get();
-        ocfg.compiler.inputPeriod = ss.period;
-        ocfg.compiler.assign.seed = ss.cfg.seed;
-        ocfg.cacheCapacity =
-            (ss.cfg.cache && cfg_.cacheCapacity > 0)
-                ? cfg_.cacheCapacity
-                : 0;
-        ocfg.sharedCache = cache_;
-        auto svc = std::make_unique<online::OnlineScheduler>(
-            std::move(g), std::move(topo), alloc,
-            effectiveTiming(ss.cfg), ocfg);
-        const online::RequestResult res =
-            svc->restore(sched.omega, sched.omega.faultSpec);
+        // An over-cap thread budget or a refused thread start
+        // rejects this snapshot, not the process.
+        std::shared_ptr<engine::EngineContext> sctx;
+        std::unique_ptr<online::OnlineScheduler> svc;
+        online::RequestResult res;
+        try {
+            sctx = makeSessionContext(ss.cfg);
+            online::OnlineSchedulerConfig ocfg;
+            ocfg.compiler.ctx = sctx.get();
+            ocfg.compiler.inputPeriod = ss.period;
+            ocfg.compiler.assign.seed = ss.cfg.seed;
+            ocfg.cacheCapacity =
+                (ss.cfg.cache && cfg_.cacheCapacity > 0)
+                    ? cfg_.cacheCapacity
+                    : 0;
+            ocfg.sharedCache = cache_;
+            svc = std::make_unique<online::OnlineScheduler>(
+                std::move(g), std::move(topo), alloc,
+                effectiveTiming(ss.cfg), ocfg);
+            res = svc->restore(sched.omega, sched.omega.faultSpec);
+        } catch (const FatalError &e) {
+            *why = "session '" + ss.cfg.name + "': " + e.what();
+            return false;
+        }
         if (!res.accepted) {
             *why = "session '" + ss.cfg.name +
                    "': restore rejected (" +
@@ -420,9 +434,6 @@ SchedulingDaemon::replayOp(const DaemonOp &op, RecoveryResult &rr)
               svc = buildService(op.open, op.open.period,
                                  sctx.get());
           } catch (const FatalError &) {
-              ++rr.replayRejected;
-              return false;
-          } catch (const std::system_error &) {
               ++rr.replayRejected;
               return false;
           }
@@ -611,10 +622,6 @@ SchedulingDaemon::open(const SessionConfig &sc)
         first = svc->start();
     } catch (const FatalError &e) {
         configError = e.what();
-    } catch (const std::system_error &e) {
-        // The host refused the session's private threads.
-        configError = std::string("cannot start session threads: ") +
-                      e.what();
     }
 
     const bool ok = configError.empty() && first.accepted;

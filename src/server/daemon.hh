@@ -290,7 +290,11 @@ class SchedulingDaemon
     buildService(const SessionConfig &sc, Time period,
                  const engine::EngineContext *ctx) const;
 
-    /** Child context for one session per its open-line overrides. */
+    /**
+     * Child context for one session per its open-line overrides.
+     * The one owner of the kMaxSessionThreads cap; throws
+     * FatalError past it or when the host refuses the threads.
+     */
     std::shared_ptr<engine::EngineContext>
     makeSessionContext(const SessionConfig &sc) const;
 

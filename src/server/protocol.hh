@@ -45,8 +45,9 @@ namespace server {
  * Largest private thread budget (`threads=T`) a session may ask
  * for. A constant rather than a function of the host, so a WAL or a
  * snapshot one machine accepted replays the same on any other. The
- * protocol, WAL decode, snapshot restore and the daemon's session
- * builder all enforce it.
+ * daemon's session builder enforces it for every open, replay and
+ * restore; the protocol checks it too, to reject a script line
+ * before it reaches the daemon.
  */
 constexpr std::size_t kMaxSessionThreads = 64;
 

@@ -251,10 +251,11 @@ decodeSnapshot(const std::string &body, DaemonSnapshot *snap,
         s.cfg.cache =
             toNumber(r, expectKey(r, "cachesess")) != 0.0;
         // Optional: snapshots of sessions without a thread budget,
-        // and those written before budgets were kept, omit it.
+        // and those written before budgets were kept, omit it. The
+        // session cap is the daemon's to enforce at restore.
         if (r.nextIs("threads"))
-            s.cfg.threads = expectUnsigned(
-                r, "threads", "thread budget", 1, kMaxSessionThreads);
+            s.cfg.threads = expectUnsigned(r, "threads", "thread budget",
+                                           1, SIZE_MAX);
         s.period = toNumber(r, expectKey(r, "period"));
         const double nTasks = toNumber(r, expectKey(r, "tasks"));
         if (!r.ok() || nTasks < 0 || nTasks > 1e6) {

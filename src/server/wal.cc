@@ -97,6 +97,9 @@ encodeWalRecord(const WalRecord &rec)
 
 namespace {
 
+/** 2^64 - 2^11: the last double a std::uint64_t can hold. */
+constexpr double kLargestDoubleBelow2To64 = 18446744073709549568.0;
+
 /**
  * A JSON number that is a whole value in [lo, hi]; throws otherwise
  * (a float cast of an out-of-range double is undefined).
@@ -139,13 +142,14 @@ decodeWalRecord(const std::string &line)
             throw std::runtime_error("bad seed");
         sc.cache = v->at("cache").boolean;
         // Absent on records written before sessions carried thread
-        // overrides: share the daemon's pool. Records written before
-        // the solver-kind switch was retired may carry a "solver"
-        // field; it is ignored.
+        // overrides: share the daemon's pool. Only representability
+        // is checked: a budget past kMaxSessionThreads decodes, and
+        // replay rejects that one open, not the rest of the log.
+        // Records written before the solver-kind switch was retired
+        // may carry a "solver" field; it is ignored.
         if (v->has("threads"))
-            sc.threads = wholeNumber(
-                v->at("threads"), "threads", 1.0,
-                static_cast<double>(kMaxSessionThreads));
+            sc.threads = wholeNumber(v->at("threads"), "threads", 1.0,
+                                     kLargestDoubleBelow2To64);
     } else if (op == "close") {
         rec.op.kind = DaemonOp::Kind::Close;
     } else if (op == "admit") {

@@ -12,11 +12,21 @@ ThreadPool::ThreadPool(std::size_t threads)
     : size_(threads < 1 ? 1 : threads)
 {
     workers_.reserve(size_ - 1);
-    for (std::size_t i = 0; i + 1 < size_; ++i)
-        workers_.emplace_back([this]() { workerLoop(); });
+    try {
+        for (std::size_t i = 0; i + 1 < size_; ++i)
+            workers_.emplace_back([this]() { workerLoop(); });
+    } catch (...) {
+        // The host refused a thread (std::system_error): join the
+        // ones already started, or destroying them would terminate.
+        stopWorkers();
+        throw;
+    }
 }
 
-ThreadPool::~ThreadPool()
+ThreadPool::~ThreadPool() { stopWorkers(); }
+
+void
+ThreadPool::stopWorkers()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);

@@ -113,6 +113,8 @@ class ThreadPool
   private:
     void enqueue(std::function<void()> task);
     void workerLoop();
+    /** Tell the workers to drain and exit, then join them. */
+    void stopWorkers();
 
     std::size_t size_;
     std::vector<std::thread> workers_;

@@ -13,6 +13,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -149,6 +150,45 @@ directBytes(const std::string &requestScript,
         EXPECT_TRUE(svc.process(r).accepted);
     std::ostringstream os;
     writeSchedule(os, svc.published()->omega);
+    return os.str();
+}
+
+/**
+ * Serve session "a" on a daemon over `dir` through the request
+ * `script`, then crash it (no final snapshot, no graceful close) or,
+ * with `graceful`, shut it down (writes the final snapshot).
+ * @return snapshots the daemon wrote.
+ */
+std::uint64_t
+serveSessionA(const std::string &dir, const std::string &script,
+              const engine::EngineContext &root,
+              std::size_t snapshotEvery = 0, bool graceful = false)
+{
+    DaemonConfig cfg{.ctx = &root};
+    cfg.stateDir = dir;
+    cfg.snapshotEvery = snapshotEvery;
+    SchedulingDaemon d(cfg);
+    EXPECT_TRUE(d.open(figSession("a")).result.accepted);
+    std::istringstream is(script);
+    for (const online::Request &r :
+         online::parseRequestScript(is).requests)
+        EXPECT_TRUE(d.submit("a", r).get().result.accepted);
+    if (graceful) {
+        d.shutdown();
+    } else {
+        d.drain();
+        d.crashForTest();
+    }
+    return d.snapshotsWritten();
+}
+
+/** The whole file at `path`. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
     return os.str();
 }
 
@@ -365,14 +405,11 @@ TEST(ServerWal, OutOfRangeIntegersAreATornTail)
 {
     // Each record decodes only if every integer in it is whole and
     // in range; otherwise the log ends there, as at a torn write.
-    const std::string over =
-        std::to_string(server::kMaxSessionThreads + 1);
     const std::string open =
         R"({"seq":1,"op":"open","session":"a","topo":"cube:3",)"
         R"("tfg":"dvb","period":100,"bw":64,"ap":0,"alloc":"greedy",)"
         R"("cache":true,)";
     const std::string bad[] = {
-        open + R"("seed":"7","threads":)" + over + "}",
         open + R"("seed":"7","threads":1e300})",
         open + R"("seed":"7","threads":2.5})",
         open + R"("seed":"7","threads":0})",
@@ -394,14 +431,19 @@ TEST(ServerWal, OutOfRangeIntegersAreATornTail)
         EXPECT_TRUE(r.tornTail) << record;
         EXPECT_TRUE(r.records.empty()) << record;
     }
+    // A budget past the session cap still decodes: the cap is the
+    // daemon's, and replay rejects that one open (see
+    // ServerDaemon.OverCapOpenInWalIsOneRejectedReplay).
     {
         std::ofstream out(path, std::ios::trunc);
         out << open << R"("seed":"7","threads":)"
-            << server::kMaxSessionThreads << "}\n";
+            << server::kMaxSessionThreads + 1 << "}\n";
     }
     const server::WalReadResult ok = server::readWal(path);
     ASSERT_EQ(ok.records.size(), 1u);
-    EXPECT_EQ(ok.records[0].op.open.threads, server::kMaxSessionThreads);
+    EXPECT_FALSE(ok.tornTail);
+    EXPECT_EQ(ok.records[0].op.open.threads,
+              server::kMaxSessionThreads + 1);
     EXPECT_EQ(ok.records[0].op.open.seed, 7u);
 }
 
@@ -559,16 +601,27 @@ TEST(ServerSnapshot, OutOfRangeIntegersAreRejected)
             << key << " " << value;
         EXPECT_NE(err.find("malformed"), std::string::npos) << err;
     }
-    for (const std::string &threads :
-         {std::to_string(server::kMaxSessionThreads + 1),
-          std::string("1e300"), std::string("2.5")}) {
-        std::string over = body;
-        over.insert(over.find("\nperiod ") + 1,
-                    "threads " + threads + "\n");
-        EXPECT_FALSE(server::decodeSnapshot(over, &back, &err))
+    const auto withThreads = [&](const std::string &threads) {
+        std::string out = body;
+        out.insert(out.find("\nperiod ") + 1,
+                   "threads " + threads + "\n");
+        return out;
+    };
+    for (const char *threads :
+         {"1e300", "2.5", "-1", "18446744073709551616"}) {
+        EXPECT_FALSE(
+            server::decodeSnapshot(withThreads(threads), &back, &err))
             << threads;
         EXPECT_NE(err.find("thread budget"), std::string::npos) << err;
     }
+    // Past the session cap still decodes; restore enforces the cap
+    // (ServerDaemon.OverCapSnapshotSessionRejectsTheSnapshot).
+    ASSERT_TRUE(server::decodeSnapshot(
+        withThreads(std::to_string(server::kMaxSessionThreads + 1)),
+        &back, &err))
+        << err;
+    EXPECT_EQ(back.sessions[0].cfg.threads,
+              server::kMaxSessionThreads + 1);
 }
 
 TEST(ServerSnapshot, WideSeedsSurviveTheCodec)
@@ -866,20 +919,7 @@ TEST_F(ServerDaemon, RecoversByteIdenticalFromWalReplay)
     const std::string script = "admit x0 probe verify 256\n"
                                "admit x1 match probe 128\n"
                                "remove x0\n";
-    {
-        DaemonConfig cfg{.ctx = &root};
-        cfg.stateDir = dir;
-        SchedulingDaemon d(cfg);
-        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
-        for (const DaemonOp &op :
-             parseOps("a admit x0 probe verify 256\n"
-                      "a admit x1 match probe 128\n"
-                      "a remove x0\n"))
-            ASSERT_TRUE(
-                d.submit("a", op.request).get().result.accepted);
-        d.drain();
-        d.crashForTest(); // no final snapshot, no graceful close
-    }
+    serveSessionA(dir, script, root);
     DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
@@ -895,22 +935,12 @@ TEST_F(ServerDaemon, RecoversByteIdenticalFromWalReplay)
 TEST_F(ServerDaemon, RecoversFromSnapshotPlusWalSuffix)
 {
     const std::string dir = scratchDir("recover-snap");
-    {
-        DaemonConfig cfg{.ctx = &root};
-        cfg.stateDir = dir;
-        cfg.snapshotEvery = 2;
-        SchedulingDaemon d(cfg);
-        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
-        for (const DaemonOp &op :
-             parseOps("a admit x0 probe verify 256\n"
-                      "a admit x1 match probe 128\n"
-                      "a remove x0\n"))
-            ASSERT_TRUE(
-                d.submit("a", op.request).get().result.accepted);
-        d.drain();
-        EXPECT_GT(d.snapshotsWritten(), 0u);
-        d.crashForTest();
-    }
+    EXPECT_GT(serveSessionA(dir,
+                            "admit x0 probe verify 256\n"
+                            "admit x1 match probe 128\n"
+                            "remove x0\n",
+                            root, 2),
+              0u);
     DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
     SchedulingDaemon d2(cfg);
@@ -926,20 +956,8 @@ TEST_F(ServerDaemon, RecoversFromSnapshotPlusWalSuffix)
 TEST_F(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
 {
     const std::string dir = scratchDir("recover-corrupt");
-    {
-        DaemonConfig cfg{.ctx = &root};
-        cfg.stateDir = dir;
-        cfg.snapshotEvery = 1;
-        SchedulingDaemon d(cfg);
-        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
-        for (const DaemonOp &op :
-             parseOps("a admit x0 probe verify 256\n"
-                      "a remove x0\n"))
-            ASSERT_TRUE(
-                d.submit("a", op.request).get().result.accepted);
-        d.drain();
-        d.crashForTest();
-    }
+    serveSessionA(dir, "admit x0 probe verify 256\nremove x0\n", root,
+                  1);
     // Corrupt the newest snapshot; recovery must reject it on the
     // content hash and fall back (older snapshot or full replay),
     // converging on the same state.
@@ -960,35 +978,44 @@ TEST_F(ServerDaemon, CorruptSnapshotFallsBackToOlderState)
                           "remove x0\n", root));
 }
 
-TEST_F(ServerDaemon, NanSnapshotFallsBackToFullReplay)
+/**
+ * Leave `dir` holding session "a" after `script` plus the final
+ * snapshot a graceful shutdown writes, then rewrite that snapshot through
+ * `alter`. The new file's content hash is valid, so only decode or
+ * restore can refuse it.
+ */
+void
+writeAlteredSnapshot(
+    const std::string &dir, const std::string &script,
+    const engine::EngineContext &root,
+    const std::function<void(server::DaemonSnapshot &)> &alter)
 {
-    const std::string dir = scratchDir("recover-nan-snap");
-    const std::string script = "admit x0 probe verify 256\n"
-                               "remove x0\n";
-    {
-        DaemonConfig cfg{.ctx = &root};
-        cfg.stateDir = dir;
-        SchedulingDaemon d(cfg);
-        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
-        for (const DaemonOp &op : parseOps("a admit x0 probe verify 256\n"
-                                           "a remove x0\n"))
-            ASSERT_TRUE(
-                d.submit("a", op.request).get().result.accepted);
-        d.shutdown(); // writes the final snapshot
-    }
-    // Swap the snapshot for one whose period is NaN. The file's
-    // content hash is valid, so only the number parser can refuse.
+    serveSessionA(dir, script, root, 0, true);
     auto infos = server::listSnapshots(dir);
     ASSERT_EQ(infos.size(), 1u);
     server::DaemonSnapshot snap;
     std::string err;
     ASSERT_TRUE(server::loadSnapshotFile(infos[0], &snap, &err)) << err;
     ASSERT_EQ(snap.sessions.size(), 1u);
-    snap.sessions[0].period = std::numeric_limits<double>::quiet_NaN();
+    alter(snap);
     std::filesystem::remove(infos[0].path);
     std::string path;
     ASSERT_TRUE(server::writeSnapshotFile(dir, snap, &path, &err))
         << err;
+}
+
+TEST_F(ServerDaemon, NanSnapshotFallsBackToFullReplay)
+{
+    const std::string dir = scratchDir("recover-nan-snap");
+    const std::string script = "admit x0 probe verify 256\n"
+                               "remove x0\n";
+    // A snapshot whose period is NaN: only the number parser can
+    // refuse it.
+    ASSERT_NO_FATAL_FAILURE(writeAlteredSnapshot(
+        dir, script, root, [](server::DaemonSnapshot &snap) {
+            snap.sessions[0].period =
+                std::numeric_limits<double>::quiet_NaN();
+        }));
 
     DaemonConfig cfg{.ctx = &root};
     cfg.stateDir = dir;
@@ -1003,6 +1030,69 @@ TEST_F(ServerDaemon, NanSnapshotFallsBackToFullReplay)
     EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script, root));
 }
 
+/**
+ * A snapshot session past the thread cap decodes, and restore
+ * refuses it before any thread starts: that snapshot is rejected
+ * with a reason and recovery falls back to the full replay.
+ */
+TEST_F(ServerDaemon, OverCapSnapshotSessionRejectsTheSnapshot)
+{
+    const std::string dir = scratchDir("recover-over-cap-snap");
+    const std::string script = "admit x0 probe verify 256\n"
+                               "remove x0\n";
+    ASSERT_NO_FATAL_FAILURE(writeAlteredSnapshot(
+        dir, script, root, [](server::DaemonSnapshot &snap) {
+            snap.sessions[0].cfg.threads =
+                server::kMaxSessionThreads + 1;
+        }));
+
+    DaemonConfig cfg{.ctx = &root};
+    cfg.stateDir = dir;
+    SchedulingDaemon d2(cfg);
+    ASSERT_EQ(d2.recovery().rejectedSnapshots.size(), 1u);
+    EXPECT_NE(d2.recovery().rejectedSnapshots[0].find(
+                  "session budget"),
+              std::string::npos)
+        << d2.recovery().rejectedSnapshots[0];
+    EXPECT_TRUE(d2.recovery().snapshotPath.empty());
+    EXPECT_EQ(d2.recovery().replayed, 3u);
+    EXPECT_EQ(d2.recovery().replayRejected, 0u);
+    EXPECT_EQ(d2.sessionPoolSize("a"), 0u);
+    EXPECT_EQ(publishedBytes(d2, "a"), directBytes(script, root));
+}
+
+/**
+ * A WAL written before the thread cap may hold an over-cap open.
+ * Recovery rejects that one record and keeps every later one: the
+ * log is neither cut there nor rewritten.
+ */
+TEST_F(ServerDaemon, OverCapOpenInWalIsOneRejectedReplay)
+{
+    const std::string dir = scratchDir("recover-over-cap-wal");
+    const std::string wal = dir + "/wal.jsonl";
+    const std::string script = "admit x0 probe verify 256\n";
+    std::vector<DaemonOp> ops = parseOps(
+        "open big topo=torus:4,4,4 tfg=dvb period=120 bw=128 alloc=rr:13\n"
+        "open a topo=torus:4,4,4 tfg=dvb period=120 bw=128 alloc=rr:13\n"
+        "a " + script);
+    ops[0].open.threads = server::kMaxSessionThreads + 1;
+    std::string body;
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        body += server::encodeWalRecord({i + 1, ops[i]}) + "\n";
+    std::ofstream(wal, std::ios::trunc) << body;
+
+    DaemonConfig cfg{.ctx = &root};
+    cfg.stateDir = dir;
+    SchedulingDaemon d(cfg);
+    EXPECT_FALSE(d.recovery().walTornTail);
+    EXPECT_EQ(d.recovery().replayed, 3u);
+    EXPECT_EQ(d.recovery().replayRejected, 1u);
+    EXPECT_EQ(d.sessionNames(), std::vector<std::string>{"a"});
+    EXPECT_EQ(publishedBytes(d, "a"), directBytes(script, root));
+    EXPECT_EQ(readFile(wal), body);
+    d.shutdown();
+}
+
 TEST_F(ServerDaemon, LegacySolverFieldInWalIsIgnored)
 {
     // Open records written while sessions could pick a solver kind
@@ -1010,26 +1100,9 @@ TEST_F(ServerDaemon, LegacySolverFieldInWalIsIgnored)
     // the bytes the direct service publishes.
     const std::string dir = scratchDir("recover-legacy-solver");
     const std::string script = "admit x0 probe verify 256\n";
-    {
-        DaemonConfig cfg{.ctx = &root};
-        cfg.stateDir = dir;
-        SchedulingDaemon d(cfg);
-        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
-        for (const DaemonOp &op :
-             parseOps("a admit x0 probe verify 256\n"))
-            ASSERT_TRUE(
-                d.submit("a", op.request).get().result.accepted);
-        d.drain();
-        d.crashForTest();
-    }
+    serveSessionA(dir, script, root);
     const std::string wal = dir + "/wal.jsonl";
-    std::string body;
-    {
-        std::ifstream in(wal);
-        std::ostringstream os;
-        os << in.rdbuf();
-        body = os.str();
-    }
+    std::string body = readFile(wal);
     const std::size_t at = body.find("\"cache\":true");
     ASSERT_NE(at, std::string::npos) << body;
     ASSERT_LT(at, body.find('\n'));
@@ -1226,18 +1299,7 @@ TEST_F(ServerDaemon, UnsyncedTailIsLostOnCrash)
 TEST_F(ServerDaemon, TornWalTailRecoversTheIntactPrefix)
 {
     const std::string dir = scratchDir("recover-torn");
-    {
-        DaemonConfig cfg{.ctx = &root};
-        cfg.stateDir = dir;
-        SchedulingDaemon d(cfg);
-        ASSERT_TRUE(d.open(figSession("a")).result.accepted);
-        online::Request admit;
-        admit.kind = online::RequestKind::AdmitMessage;
-        admit.admits.push_back({"x0", "probe", "verify", 256.0});
-        ASSERT_TRUE(d.submit("a", admit).get().result.accepted);
-        d.drain();
-        d.crashForTest();
-    }
+    serveSessionA(dir, "admit x0 probe verify 256\n", root);
     {
         std::ofstream out(dir + "/wal.jsonl", std::ios::app);
         out << "{\"seq\":3,\"op\":\"re"; // torn mid-record
